@@ -135,9 +135,7 @@ exp::TrialResult packet_trial(const Scenario& sc,
     controller->observe(bus);
     driver = std::make_unique<control::ControlDriver>(h.events(), *controller,
                                                       cc.cadence);
-    if (sim::ShardSet* shards = h.shards(); shards != nullptr) {
-      driver->set_more_work([shards] { return shards->busy(); });
-    }
+    driver->set_more_work([shards = h.shards()] { return shards->busy(); });
     driver->start(h.events().now());
   }
 

@@ -14,13 +14,14 @@
 // self-contained report mode measuring the data-plane hot path end to end:
 // a raw queue+pipe forwarding loop (packets/sec) and a fixed permutation
 // TCP scenario (events/sec and bytes/event), plus the slab/arena footprint
-// behind them, plus a sharded-engine scaling sweep (packet_sim_mt: the
+// behind them, plus a worker-count scaling sweep (packet_sim_mt: the
 // same permutation scenario on a wider multi-plane fabric at
 // --sim-threads 1/2/4/8, asserting the dispatched-event count is
 // identical across shard worker counts). The result is one JSON document,
 // committed as BENCH_micro_sim.json at the repo root; CI's micro-sim-perf
-// job re-runs it and fails on a >15% events/sec regression of the serial
-// row, and checks the mt rows still agree on events. Report-mode flags:
+// job re-runs it and fails on a >15% events/sec regression of the
+// packet_sim row (one worker), and checks the mt rows still agree on
+// events. Report-mode flags:
 // --hosts, --planes, --bytes, --repeat, --mt-hosts, --mt-planes,
 // --mt-bytes.
 #include <benchmark/benchmark.h>
@@ -162,14 +163,11 @@ struct SimRun {
   std::size_t routes = 0;
   std::size_t route_dedup_hits = 0;
   std::size_t route_arena_bytes = 0;
-  std::size_t pool_allocated = 0;
-  std::size_t pool_slabs = 0;
-  std::size_t pool_slab_bytes = 0;
   std::uint64_t heap_regrowths = 0;
 };
 
 SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
-                       int sim_threads = 0) {
+                       int sim_threads = 1) {
   topo::NetworkSpec spec;
   spec.topo = topo::TopoKind::kFatTree;
   spec.type = topo::NetworkType::kParallelHomogeneous;
@@ -187,16 +185,18 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
   harness.run();
   SimRun run;
   run.wall_s = seconds_since(t0);
-  run.events = harness.dispatched();  // == events().dispatched() when serial
+  run.events = harness.dispatched();
   run.delivered =
       static_cast<double>(harness.factory().total_delivered_bytes());
   run.routes = harness.network().routes().num_routes();
   run.route_dedup_hits = harness.network().routes().dedup_hits();
   run.route_arena_bytes = harness.network().routes().arena_bytes();
-  // Pool introspection goes through the harness-owned pool indirectly:
-  // approximate with the event-heap stats we can reach; the pool numbers
-  // come from the standalone forwarding section instead.
+  // Pool numbers come from the standalone forwarding section; here the
+  // heaps' regrowth count covers the control queue and every shard.
   run.heap_regrowths = harness.events().regrowths();
+  for (std::size_t i = 0; i < harness.shards()->size(); ++i) {
+    run.heap_regrowths += harness.shards()->shard(i).events.regrowths();
+  }
   return run;
 }
 
@@ -286,10 +286,10 @@ int run_json_report(const Flags& flags) {
     w.end_object();
   }
 
-  // Sharded-engine scaling sweep: the same permutation scenario on a wider
+  // Worker-count scaling sweep: the same permutation scenario on a wider
   // multi-plane fabric, at shard worker counts 1/2/4/8. Dispatched-event
-  // counts must agree across every row (the sharded engine's determinism
-  // contract); speedup is relative to the 1-worker sharded row and is only
+  // counts must agree across every row (the packet engine's determinism
+  // contract); speedup is relative to the 1-worker row and is only
   // meaningful when host_cpus covers the worker count.
   {
     const int mt_hosts = flags.get_int("mt-hosts", 32);

@@ -188,6 +188,18 @@ inline control::ControllerConfig parse_controller(const Flags& flags) {
   return config;
 }
 
+/// --sim-threads: the packet engine's worker-pool size, default 1. Every
+/// value gives byte-identical reports; below 1 is a usage error.
+inline int parse_sim_threads(const Flags& flags) {
+  const int sim_threads = flags.get_int("sim-threads", 1);
+  if (sim_threads < 1) {
+    std::fprintf(stderr, "%s: --sim-threads must be >= 1, got %d\n",
+                 flags.program().c_str(), sim_threads);
+    std::exit(2);
+  }
+  return sim_threads;
+}
+
 /// Wall-clock stopwatch for engine speedup comparisons.
 class WallClock {
  public:
@@ -241,9 +253,7 @@ class Experiment {
     runner_.set_checkpoint(flags.get("checkpoint", ""));
     runner_.set_audit(flags.get_bool("audit", false) ||
                       util::Audit::env_enabled());
-    // Packet-engine shard workers: 0 (default) keeps the serial engine;
-    // >= 1 runs the plane-sharded engine, byte-identical across values.
-    runner_.set_sim_threads(flags.get_int("sim-threads", 0));
+    runner_.set_sim_threads(parse_sim_threads(flags));
     // Control plane: --controller=off leaves every cell byte-identical to
     // the seed; other modes merge into cells that did not set their own.
     runner_.set_controller(parse_controller(flags));

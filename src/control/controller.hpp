@@ -13,7 +13,7 @@
 // Determinism rules (DESIGN.md §5j): every decision is a pure function of
 // (simulated time, sampled state at grid points, the fabric event stream).
 // Ticks run as simulation events — on the packet engine's control queue
-// (barrier epochs when sharded), inside the fluid event loop otherwise —
+// (at barrier epochs), inside the fluid event loop otherwise —
 // so reports stay byte-identical at every --threads / --sim-threads value.
 #pragma once
 

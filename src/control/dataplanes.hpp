@@ -7,9 +7,9 @@
 // fsim::FluidSimulator (plane-attributed delivered bytes, routing mask,
 // FluidSimulator::repin_flows). The fluid engine calls Controller::tick
 // from FluidSimulator::set_control; the packet engine schedules a
-// ControlDriver on the EventQueue — control-queue events run at barrier
-// epochs under the sharded engine, which is what keeps controller-enabled
-// reports byte-identical at every --sim-threads value.
+// ControlDriver on the control queue — control-queue events run at
+// barrier epochs, which is what keeps controller-enabled reports
+// byte-identical at every --sim-threads value.
 #pragma once
 
 #include <vector>
@@ -92,7 +92,7 @@ class ControlDriver : public sim::EventSource {
                 SimTime cadence)
       : events_(events), controller_(controller), cadence_(cadence) {}
 
-  /// Sharded runs hook ShardSet::busy() here, exactly like the telemetry
+  /// Packet runs hook ShardSet::busy() here, exactly like the telemetry
   /// driver: the control queue looks drained while work lives on shards.
   void set_more_work(std::function<bool()> more_work) {
     more_work_ = std::move(more_work);

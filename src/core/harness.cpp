@@ -6,32 +6,22 @@ namespace pnet::core {
 
 SimHarness::SimHarness(const Options& options)
     : net_(topo::build_network(options.spec)),
-      shards_(options.sim_threads >= 1
-                  ? std::make_unique<sim::ShardSet>(net_.num_planes(),
-                                                    options.sim_threads)
-                  : nullptr),
-      network_(events_, pool_, net_, options.sim_config, shards_.get()),
-      factory_(events_, pool_, network_, logger_, shards_.get()),
+      shards_(net_.num_planes(), options.sim_threads),
+      network_(events_, shards_, net_, options.sim_config),
+      factory_(events_, shards_, network_, logger_),
       selector_(net_, options.policy, options.route_cache),
       starter_(selector_.make_starter(factory_)),
       telemetry_(options.telemetry) {
-  // Reserve the event heap up front (links dominate the steady-state
-  // pending set: one in-service completion per queue, one delivery wake-up
-  // per pipe) and arm regrowth tracking; FlowFactory grows the reservation
-  // as endpoints appear. audit_check() treats any regrowth as a violation.
-  events_.reserve(2 * network_.total_links() +
-                  static_cast<std::size_t>(net_.num_hosts()) + 64);
-  if (shards_ != nullptr) {
-    // Per-shard heaps get the same bound plus slack for arrival wakes
-    // (Arrivals can park a few superseded wakes per shard; see shard.hpp).
-    shards_->reserve_events(2 * network_.total_links() +
-                            static_cast<std::size_t>(net_.num_hosts()) +
-                            256);
-  }
+  // Reserve the control queue up front and arm regrowth tracking (the
+  // shard heaps were sized by SimNetwork and grow with FlowFactory).
+  // Control work is per host at most — workload apps, health probes —
+  // plus the fault injector and the telemetry and control drivers.
+  // audit_check() treats any regrowth as a violation.
+  events_.reserve(static_cast<std::size_t>(net_.num_hosts()) + 64);
   if (telemetry_ != nullptr) wire_telemetry(options.sample_route_cache);
   if (options.cancel != nullptr) {
     events_.set_cancel(options.cancel);
-    if (shards_ != nullptr) shards_->set_cancel(options.cancel);
+    shards_.set_cancel(options.cancel);
   }
   audit_ = options.audit;
   if (audit_ == nullptr && util::Audit::env_enabled()) {
@@ -43,7 +33,7 @@ SimHarness::SimHarness(const Options& options)
   if (audit_ != nullptr) {
     events_.set_audit(audit_);
     network_.set_audit(audit_);
-    if (shards_ != nullptr) shards_->enable_audit();
+    shards_.enable_audit();
   }
 }
 
@@ -91,11 +81,9 @@ void SimHarness::wire_telemetry(bool sample_route_cache) {
                        });
   }
   driver_ = std::make_unique<sim::TelemetryDriver>(events_, sampler);
-  if (shards_ != nullptr) {
-    // The driver rides the control queue, which drains while shard heaps
-    // still hold work — keep sampling as long as any shard is busy.
-    driver_->set_more_work([this] { return shards_->busy(); });
-  }
+  // The driver rides the control queue, which drains while shard heaps
+  // still hold work — keep sampling as long as any shard is busy.
+  driver_->set_more_work([this] { return shards_.busy(); });
   driver_->start(events_.now());
 }
 

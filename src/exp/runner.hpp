@@ -80,10 +80,9 @@ class Runner {
   void set_audit(bool audit) { audit_ = audit; }
   [[nodiscard]] bool audit() const { return audit_; }
 
-  /// Packet-engine shard workers per trial (see TrialContext::sim_threads):
-  /// 0 = serial engine, >= 1 = plane-sharded engine. Orthogonal to
-  /// `threads` (the trial fan-out); results are byte-identical across
-  /// every sim_threads value >= 1.
+  /// Packet-engine shard workers per trial (see TrialContext::sim_threads),
+  /// >= 1. Orthogonal to `threads` (the trial fan-out); results are
+  /// byte-identical across every sim_threads value.
   void set_sim_threads(int sim_threads) { sim_threads_ = sim_threads; }
   [[nodiscard]] int sim_threads() const { return sim_threads_; }
 
@@ -125,7 +124,7 @@ class Runner {
   int retries_ = 0;
   std::string checkpoint_;
   bool audit_ = false;
-  int sim_threads_ = 0;
+  int sim_threads_ = 1;
   control::ControllerConfig controller_{};
 };
 

@@ -6,19 +6,17 @@
 
 namespace pnet::sim {
 
-SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
+SimNetwork::SimNetwork(EventQueue& control, ShardSet& shards,
                        const topo::ParallelNetwork& net,
-                       const SimConfig& config, ShardSet* shards)
-    : events_(events), net_(net), config_(config), shards_(shards) {
-  queues_.resize(static_cast<std::size_t>(net.num_planes()));
-  pipes_.resize(static_cast<std::size_t>(net.num_planes()));
-  if (shards_ != nullptr) {
-    boundaries_.resize(static_cast<std::size_t>(net.num_planes()));
-    owners_.resize(static_cast<std::size_t>(net.num_planes()));
-  }
+                       const SimConfig& config)
+    : control_(control), shards_(shards), net_(net), config_(config) {
+  const auto planes = static_cast<std::size_t>(net.num_planes());
+  queues_.resize(planes);
+  stages_.resize(planes);
+  owners_.resize(planes);
   // Size the dense counter array up front: queues keep raw pointers into
   // it, so it must never reallocate after this.
-  stats_offset_.reserve(static_cast<std::size_t>(net.num_planes()) + 1);
+  stats_offset_.reserve(planes + 1);
   stats_offset_.push_back(0);
   for (int p = 0; p < net.num_planes(); ++p) {
     stats_offset_.push_back(
@@ -26,38 +24,29 @@ SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
         static_cast<std::size_t>(net.plane(p).graph.num_links()));
   }
   queue_stats_.resize(stats_offset_.back());
+  std::vector<std::size_t> owned_links(shards_.size(), 0);
   for (int p = 0; p < net.num_planes(); ++p) {
     const topo::Graph& g = net.plane(p).graph;
     auto& qs = queues_[static_cast<std::size_t>(p)];
-    auto& ps = pipes_[static_cast<std::size_t>(p)];
     qs.reserve(static_cast<std::size_t>(g.num_links()));
-    ps.reserve(static_cast<std::size_t>(g.num_links()));
     for (int l = 0; l < g.num_links(); ++l) {
       const topo::Link& link = g.link(LinkId{l});
       QueueStats* stats =
           &queue_stats_[stats_offset_[static_cast<std::size_t>(p)] +
                         static_cast<std::size_t>(l)];
       // A link belongs to the shard of its source node: host-side links to
-      // the host's shard, switch-side links to the plane's. In serial mode
-      // everything binds to the single queue/pool pair.
-      EventQueue* link_events = &events;
-      PacketPool* link_pool = &pool;
-      std::size_t owner = 0;
-      std::size_t dst_owner = 0;
-      if (shards_ != nullptr) {
-        const std::size_t plane_shard = shards_->shard_of_plane(p);
-        owner = g.is_host(link.src)
-                    ? shards_->shard_of_host(g.node(link.src).host)
-                    : plane_shard;
-        dst_owner = g.is_host(link.dst)
-                        ? shards_->shard_of_host(g.node(link.dst).host)
-                        : plane_shard;
-        link_events = &shards_->shard(owner).events;
-        link_pool = &shards_->shard(owner).pool;
-        owners_[static_cast<std::size_t>(p)].push_back(
-            static_cast<std::uint32_t>(owner));
-      }
-      qs.push_back(std::make_unique<Queue>(*link_events, *link_pool,
+      // the host's shard, switch-side links to the plane's.
+      const auto shard_of = [&](NodeId node) {
+        return g.is_host(node) ? shards_.shard_of_host(g.node(node).host)
+                               : shards_.shard_of_plane(p);
+      };
+      const std::size_t owner = shard_of(link.src);
+      const std::size_t dst_owner = shard_of(link.dst);
+      Shard& shard = shards_.shard(owner);
+      ++owned_links[owner];
+      owners_[static_cast<std::size_t>(p)].push_back(
+          static_cast<std::uint32_t>(owner));
+      qs.push_back(std::make_unique<Queue>(shard.events, shard.pool,
                                            link.rate_bps,
                                            config.queue_buffer_bytes,
                                            config.ecn_threshold_bytes,
@@ -69,36 +58,41 @@ SimNetwork::SimNetwork(EventQueue& events, PacketPool& pool,
       qs.back()->reseed_loss_rng(
           mix64((static_cast<std::uint64_t>(p) << 32) ^
                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(l))));
-      if (shards_ != nullptr && owner != dst_owner) {
+      if (g.is_host(link.src) || g.is_host(link.dst)) {
+        shards_.note_host_link(link.latency);
+      }
+      if (owner != dst_owner) {
         // Crossing link: the propagation delay rides the handoff itself,
         // which is what gives the barrier its lookahead.
-        shards_->note_crossing(link.latency);
-        boundaries_[static_cast<std::size_t>(p)].push_back(
-            std::make_unique<BoundaryPipe>(shards_->shard(owner), dst_owner,
-                                           link.latency));
-        ps.push_back(nullptr);
+        boundaries_.push_back(
+            std::make_unique<BoundaryPipe>(shard, dst_owner, link.latency));
+        stages_[static_cast<std::size_t>(p)].push_back(
+            boundaries_.back().get());
       } else {
-        ps.push_back(std::make_unique<Pipe>(*link_events, link.latency));
-        if (shards_ != nullptr) {
-          boundaries_[static_cast<std::size_t>(p)].push_back(nullptr);
-        }
+        pipes_.push_back(std::make_unique<Pipe>(shard.events, link.latency));
+        stages_[static_cast<std::size_t>(p)].push_back(pipes_.back().get());
       }
     }
     cable_failed_.emplace_back(static_cast<std::size_t>(g.num_links()), 0);
   }
-  plane_failed_.assign(static_cast<std::size_t>(net.num_planes()), 0);
+  plane_failed_.assign(planes, 0);
+  std::vector<std::size_t> owned_hosts(shards_.size(), 0);
+  for (int h = 0; h < net.num_hosts(); ++h) {
+    ++owned_hosts[shards_.shard_of_host(HostId{h})];
+  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_.own(i, owned_links[i], owned_hosts[i], 0);
+  }
 }
 
 const Route* SimNetwork::make_route(const routing::Path& path,
                                     PacketSink& endpoint) {
   route_scratch_.clear();
   route_scratch_.reserve(path.links.size() * 2 + 1);
+  const auto& stages = stages_[static_cast<std::size_t>(path.plane)];
   for (LinkId id : path.links) {
     route_scratch_.push_back(&queue(path.plane, id));
-    BoundaryPipe* crossing = boundary(path.plane, id);
-    route_scratch_.push_back(crossing != nullptr
-                                 ? static_cast<PacketSink*>(crossing)
-                                 : &pipe(path.plane, id));
+    route_scratch_.push_back(stages[static_cast<std::size_t>(id.v)]);
   }
   route_scratch_.push_back(&endpoint);
   return routes_.intern(route_scratch_, path.hops());
@@ -152,14 +146,11 @@ std::uint64_t SimNetwork::total_config_clamped() const {
 void SimNetwork::set_audit(util::Audit* audit) {
   for (std::size_t p = 0; p < queues_.size(); ++p) {
     for (std::size_t l = 0; l < queues_[p].size(); ++l) {
-      // Sharded queues audit into their owner shard's collecting auditor
-      // (a worker thread must never touch the possibly fail-fast main
-      // one); violations merge at ShardSet::collect_audit.
-      util::Audit* a = audit;
-      if (shards_ != nullptr && audit != nullptr) {
-        a = &shards_->shard(owners_[p][l]).audit;
-      }
-      queues_[p][l]->set_audit(a);
+      // Queues audit into their owner shard's collecting auditor (a worker
+      // thread must never touch the possibly fail-fast main one);
+      // violations merge at ShardSet::collect_audit.
+      queues_[p][l]->set_audit(
+          audit != nullptr ? &shards_.shard(owners_[p][l]).audit : nullptr);
     }
   }
 }
@@ -209,7 +200,7 @@ void SimNetwork::set_cable_failed(int plane, LinkId link, bool failed) {
   apply_link_state(plane, link);
   apply_link_state(plane, rev);
   PNET_TRACE_INSTANT(trace_, failed ? "cable_fail" : "cable_recover",
-                     events_.now(),
+                     control_.now(),
                      (static_cast<std::int64_t>(plane) << 32) |
                          static_cast<std::uint32_t>(link.v));
 }
@@ -227,7 +218,7 @@ void SimNetwork::set_plane_failed(int plane, bool failed) {
   const int links = net_.plane(plane).graph.num_links();
   for (int l = 0; l < links; ++l) apply_link_state(plane, LinkId{l});
   PNET_TRACE_INSTANT(trace_, failed ? "plane_fail" : "plane_recover",
-                     events_.now(), plane);
+                     control_.now(), plane);
 }
 
 void SimNetwork::set_cable_degraded(int plane, LinkId link, double loss_rate,
@@ -239,7 +230,7 @@ void SimNetwork::set_cable_degraded(int plane, LinkId link, double loss_rate,
   }
   const bool degraded = loss_rate > 0.0 || rate_scale < 1.0;
   PNET_TRACE_INSTANT(trace_, degraded ? "cable_degrade" : "cable_restore",
-                     events_.now(),
+                     control_.now(),
                      (static_cast<std::int64_t>(plane) << 32) |
                          static_cast<std::uint32_t>(link.v));
 }
@@ -279,35 +270,17 @@ void FlowLogger::write_csv(std::ostream& out) const {
   }
 }
 
-void FlowFactory::reserve_events(int new_endpoints) {
-  endpoints_ += static_cast<std::size_t>(new_endpoints);
-  // Bound on simultaneously pending events: one in-service completion per
-  // queue, one delivery wake-up per pipe (2 * links), a start event plus a
-  // short stack of stale RTO wake-ups per transport endpoint (arm_rto
-  // leaves superseded wake-ups in the heap until they fire), and slack for
-  // the telemetry driver, fault injector, and workload apps.
-  const std::size_t bound =
-      2 * network_.total_links() +
-      static_cast<std::size_t>(network_.net().num_hosts()) +
-      16 * endpoints_ + 64;
-  events_.request_capacity(bound);
-  // Sharded runs split the same pending set across shard heaps; the
-  // per-shard bound is kept at the global one (cheap, and endpoints are
-  // not balanced across shards in general).
-  if (shards_ != nullptr) shards_->request_capacity(bound);
-}
-
 TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
                               const routing::Path& path, std::uint64_t bytes,
                               SimTime start, FlowCallback on_complete) {
-  reserve_events(1);
+  shards_.own(shards_.shard_of_host(src), 0, 0, 1);
   const FlowId id = next_id();
-  sources_.push_back(std::make_unique<TcpSrc>(host_events(src),
-                                              host_pool(src), id,
+  sources_.push_back(std::make_unique<TcpSrc>(shards_.host_events(src),
+                                              shards_.host_pool(src), id,
                                               network_.config().tcp));
   TcpSrc& source = *sources_.back();
-  sinks_.push_back(std::make_unique<TcpSink>(host_events(dst),
-                                             host_pool(dst),
+  sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
+                                             shards_.host_pool(dst),
                                              network_.config().tcp));
   TcpSink& sink = *sinks_.back();
 
@@ -322,17 +295,18 @@ TcpSrc& FlowFactory::tcp_flow(HostId src, HostId dst,
         TcpFlowMeta{&source, &sink, src, dst, bytes, path.plane}));
     source.set_repath_callback(
         [this, meta = tcp_metas_.back().get()](TcpSrc&) -> const Route* {
-          if (shards_ != nullptr && shards_->in_worker_phase()) {
-            // RTO-driven repath on a shard thread: route building mutates
-            // the route arena and telemetry, so park it until the barrier
-            // and install the fresh route there. The source keeps its old
-            // route (and its RTO backoff) for the fraction of an epoch in
-            // between — deterministically, at every worker count.
-            shards_->defer(shards_->shard_of_host(meta->src),
-                           host_events(meta->src).now(), [this, meta] {
-                             if (meta->source->complete()) return;
-                             meta->source->apply_repath(repath(*meta));
-                           });
+          if (shards_.in_worker_phase()) {
+            // RTO-driven repath during a shard's run phase: route building
+            // mutates the route arena and telemetry, so park it until the
+            // barrier and install the fresh route there. The source keeps
+            // its old route (and its RTO backoff) for the fraction of an
+            // epoch in between — deterministically, at every worker count.
+            shards_.defer(shards_.shard_of_host(meta->src),
+                          shards_.host_events(meta->src).now(),
+                          [this, meta] {
+                            if (meta->source->complete()) return;
+                            meta->source->apply_repath(repath(*meta));
+                          });
             return nullptr;
           }
           return repath(*meta);
@@ -369,7 +343,7 @@ const Route* FlowFactory::repath(TcpFlowMeta& meta) {
   meta.plane = path.plane;
   if (telemetry_ != nullptr) {
     telemetry_->registry.counter("repaths").inc();
-    PNET_TRACE_INSTANT(&telemetry_->trace, "repath", events_.now(),
+    PNET_TRACE_INSTANT(&telemetry_->trace, "repath", control_.now(),
                        meta.source->flow().v);
   }
   return fwd;
@@ -392,14 +366,10 @@ int FlowFactory::repin_flows(int from_plane, int max_flows,
     meta->sink->set_ack_route(rev);
     meta->plane = path.plane;
     meta->source->apply_repath(fwd);
-    // switch_route cleared the RTO deadline and rewound go-back-N; an
-    // idle source (everything sent, waiting on in-flight data) would
-    // otherwise never wake again once those old-route packets drain.
-    meta->source->kick();
     ++moved;
     if (telemetry_ != nullptr) {
       telemetry_->registry.counter("repins").inc();
-      PNET_TRACE_INSTANT(&telemetry_->trace, "repin", events_.now(),
+      PNET_TRACE_INSTANT(&telemetry_->trace, "repin", control_.now(),
                          meta->source->flow().v);
     }
   }
@@ -457,11 +427,11 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
                                          std::uint64_t bytes, SimTime start,
                                          FlowCallback on_complete,
                                          Coupling coupling) {
-  reserve_events(static_cast<int>(paths.size()));
+  shards_.own(shards_.shard_of_host(src), 0, 0, paths.size());
   const FlowId id = next_id();
   connections_.push_back(std::make_unique<MptcpConnection>(
-      host_events(src), host_pool(src), id, network_.config().tcp, bytes,
-      coupling));
+      shards_.host_events(src), shards_.host_pool(src), id,
+      network_.config().tcp, bytes, coupling));
   MptcpConnection& connection = *connections_.back();
 
   // MP_JOIN staggering: secondary subflows join one handshake later, the
@@ -475,8 +445,8 @@ MptcpConnection& FlowFactory::mptcp_flow(HostId src, HostId dst,
   bool first = true;
   for (const auto& path : paths) {
     MptcpSubflow& subflow = connection.add_subflow();
-    sinks_.push_back(std::make_unique<TcpSink>(host_events(dst),
-                                               host_pool(dst),
+    sinks_.push_back(std::make_unique<TcpSink>(shards_.host_events(dst),
+                                               shards_.host_pool(dst),
                                                network_.config().tcp));
     TcpSink& sink = *sinks_.back();
     const Route* fwd = network_.make_route(path, sink);
@@ -518,13 +488,13 @@ void FlowFactory::set_telemetry(telemetry::Telemetry* telemetry) {
 
 void FlowFactory::deliver_record(const FlowRecord& record,
                                  const FlowCallback& cb, HostId src_host) {
-  if (shards_ != nullptr && shards_->in_worker_phase()) {
-    // Completion fired on the sender's shard thread; the logger, telemetry
-    // and the user callback are coordinator-only, so park the record until
-    // the barrier. The drain's (end, shard, emit) stable order keeps the
-    // logger's record sequence worker-count-independent.
-    shards_->defer(shards_->shard_of_host(src_host), record.end,
-                   [this, record, cb] { deliver_record_now(record, cb); });
+  if (shards_.in_worker_phase()) {
+    // Completion fired in the sender's shard run phase; the logger,
+    // telemetry and the user callback are coordinator-only, so park the
+    // record until the barrier. The drain's (end, shard, emit) stable order
+    // keeps the logger's record sequence worker-count-independent.
+    shards_.defer(shards_.shard_of_host(src_host), record.end,
+                  [this, record, cb] { deliver_record_now(record, cb); });
     return;
   }
   deliver_record_now(record, cb);

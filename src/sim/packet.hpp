@@ -10,7 +10,9 @@
 //  * Packets live in contiguous 4K-packet slabs owned by PacketPool.
 //    Addresses are stable (slabs never move), so Packet* stays the working
 //    currency of the hot path, while PacketRef gives a compact 4-byte
-//    index handle for tables that should not store pointers.
+//    index handle for tables that should not store pointers. A slab is
+//    mapped, not initialized: the kernel commits its pages only as packets
+//    are carved from it, so a pool holds about what it has handed out.
 //  * Every Packet carries an intrusive `next` link, so the pool free list,
 //    queue FIFOs (sim::Queue) and pipe in-flight lists (sim::Pipe) are all
 //    singly-linked lists threaded through the slabs — zero allocations on
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -155,11 +158,14 @@ class PacketList {
 /// Slab pool. Millions of packets flow through a run; packets are stored
 /// in contiguous 4K-packet slabs (stable addresses, index-addressable via
 /// PacketRef) and recycled through an intrusive LIFO free list, so the
-/// steady-state forwarding path never touches the allocator.
+/// steady-state forwarding path never touches the allocator. Slabs are
+/// anonymous mappings and each packet is constructed only when first
+/// carved, so untouched slab pages are never committed.
 class PacketPool {
  public:
   /// Packets per slab: 4096 * sizeof(Packet) = 256 KiB per slab.
   static constexpr std::size_t kSlabPackets = 4096;
+  static constexpr std::size_t kSlabBytes = kSlabPackets * sizeof(Packet);
 
   Packet* allocate() {
     if (free_head_ != nullptr) {
@@ -172,10 +178,10 @@ class PacketPool {
       return p;
     }
     if (bump_ == kSlabPackets) {
-      slabs_.push_back(std::make_unique<Packet[]>(kSlabPackets));
+      slabs_.emplace_back(map_slab());
       bump_ = 0;
     }
-    Packet* p = &slabs_.back()[bump_];
+    Packet* p = new (slabs_.back().get() + bump_) Packet{};
     p->self_ = static_cast<std::uint32_t>((slabs_.size() - 1) * kSlabPackets +
                                           bump_);
     ++bump_;
@@ -205,7 +211,7 @@ class PacketPool {
   /// Resolves a handle produced by this pool (Packet::ref()).
   [[nodiscard]] Packet& get(PacketRef ref) {
     assert(ref.v < constructed_ || ref.v < slabs_.size() * kSlabPackets);
-    return slabs_[ref.v / kSlabPackets][ref.v % kSlabPackets];
+    return slabs_[ref.v / kSlabPackets].get()[ref.v % kSlabPackets];
   }
   [[nodiscard]] const Packet& get(PacketRef ref) const {
     return const_cast<PacketPool*>(this)->get(ref);
@@ -217,12 +223,20 @@ class PacketPool {
     return constructed_ - free_count_;
   }
   [[nodiscard]] std::size_t slabs() const { return slabs_.size(); }
+  /// Address space mapped for slabs (resident memory is what allocated()
+  /// has touched, rounded up to pages).
   [[nodiscard]] std::size_t slab_bytes() const {
-    return slabs_.size() * kSlabPackets * sizeof(Packet);
+    return slabs_.size() * kSlabBytes;
   }
 
  private:
-  std::vector<std::unique_ptr<Packet[]>> slabs_;
+  struct SlabUnmap {
+    void operator()(Packet* slab) const;
+  };
+  /// A fresh kSlabBytes anonymous mapping; throws std::bad_alloc.
+  static Packet* map_slab();
+
+  std::vector<std::unique_ptr<Packet, SlabUnmap>> slabs_;
   std::size_t bump_ = kSlabPackets;  // next fresh slot in the newest slab
   std::size_t constructed_ = 0;
   Packet* free_head_ = nullptr;

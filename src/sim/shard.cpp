@@ -6,7 +6,13 @@
 namespace pnet::sim {
 
 ShardSet::ShardSet(int num_planes, int sim_threads)
-    : workers_(std::min(std::max(sim_threads, 1), std::max(num_planes, 1))) {
+    : workers_(std::min(sim_threads, std::max(num_planes, 1))) {
+  if (sim_threads < 1) {
+    throw std::invalid_argument(
+        "sim_threads is the packet engine's worker-pool size and must be "
+        ">= 1; got " +
+        std::to_string(sim_threads));
+  }
   const auto n = static_cast<std::size_t>(std::max(num_planes, 1));
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -24,22 +30,24 @@ ShardSet::~ShardSet() {
   }
 }
 
-void ShardSet::note_crossing(SimTime latency) {
+void ShardSet::note_host_link(SimTime latency) {
   if (latency <= 0) {
     throw std::invalid_argument(
-        "sharded simulation requires positive latency on cross-shard "
-        "(host-adjacent) links; got " +
+        "the packet engine requires positive latency on host-adjacent "
+        "links; got " +
         std::to_string(latency) + " ps");
   }
   lookahead_ = std::min(lookahead_, latency);
 }
 
-void ShardSet::reserve_events(std::size_t events) {
-  for (auto& s : shards_) s->events.reserve(events);
-}
-
-void ShardSet::request_capacity(std::size_t events) {
-  for (auto& s : shards_) s->events.request_capacity(events);
+void ShardSet::own(std::size_t i, std::size_t links, std::size_t hosts,
+                   std::size_t endpoints) {
+  Shard& s = *shards_[i];
+  s.links += links;
+  s.hosts += hosts;
+  s.endpoints += endpoints;
+  s.events.request_capacity(2 * s.links + s.hosts + 16 * s.endpoints +
+                            kHeapSlack);
 }
 
 void ShardSet::set_cancel(const util::CancelToken* cancel) {
@@ -108,12 +116,15 @@ void ShardSet::run_loop(EventQueue& control, SimTime deadline) {
     const SimTime epoch_end =
         std::min({sat_add(t_next, lookahead_), t_ctl, sat_add(deadline, 1)});
     run_epoch(epoch_end);
-    // Advance idle shard clocks to the barrier (bounded by pending work,
-    // which run_before left only at >= epoch_end) before integration, so
-    // anything the deferred callbacks schedule "now" lands at the barrier
-    // time on every shard alike.
+    // Advance idle shard clocks and the control clock to the barrier
+    // (bounded by pending work, which run_before left only at >=
+    // epoch_end, and epoch_end <= the next control event) before
+    // integration, so deferred callbacks read the barrier as now() and
+    // anything they schedule "now" lands at the barrier on every queue
+    // alike.
     const SimTime clock = std::min(epoch_end, deadline);
     for (auto& s : shards_) s->events.advance_to(clock);
+    control.advance_to(clock);
     integrate();
   }
   // Leave every clock at the same stopping point run_until/run would:

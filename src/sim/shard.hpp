@@ -1,4 +1,4 @@
-// Plane-sharded simulation core (DESIGN.md §5i).
+// The packet engine (DESIGN.md §5i): one shard per plane.
 //
 // A P-Net's planes are disjoint by construction — packets never cross
 // planes in flight — so the plane boundary is a sharding boundary. Each
@@ -7,20 +7,23 @@
 // assigned host % num_shards. Shards advance in conservative-lookahead
 // epochs: all shards run events strictly before a common barrier time
 // E = min(earliest pending event + lookahead, next control event), where
-// lookahead is the minimum latency of any cross-shard (host-adjacent)
-// link. Cross-shard deliveries travel as by-value packet snapshots through
-// per-(src,dst) handoff mailboxes, drained at the barrier in fixed
-// (dst, src, FIFO) order, so the merged event stream is a deterministic
-// function of the topology alone — byte-identical for any worker count.
+// lookahead is the minimum latency of any host-adjacent link — a bound on
+// every cross-shard hop, and on how late a completion parked until the
+// barrier can be seen. Cross-shard deliveries travel as by-value packet
+// snapshots through per-(src,dst) handoff mailboxes, drained at the
+// barrier in fixed (dst, src, FIFO) order, so the merged event stream is a
+// deterministic function of the topology alone — byte-identical for any
+// worker count.
 //
 // Threading model: one coordinator (the caller's thread) plus W-1 workers,
-// W = min(sim_threads, num_planes). Phases strictly alternate — during the
-// run phase each shard's state is touched only by the thread driving it;
-// during the coordinator phase (control events, mailbox integration,
-// deferred completions) the coordinator may touch everything while workers
-// spin on their epoch atomics. The acquire/release pair on epoch/done is
-// the only cross-thread synchronization; there are no locks on any packet
-// path.
+// W = min(sim_threads, num_planes); at W = 1 the coordinator drives every
+// shard inline and no thread is spawned. Phases strictly alternate —
+// during the run phase each shard's state is touched only by the thread
+// driving it; during the coordinator phase (control events, mailbox
+// integration, deferred completions) the coordinator may touch everything
+// while workers spin on their epoch atomics. The acquire/release pair on
+// epoch/done is the only cross-thread synchronization; there are no locks
+// on any packet path.
 #pragma once
 
 #include <algorithm>
@@ -153,6 +156,11 @@ struct Shard {
   util::Audit audit{/*fail_fast=*/false};
   std::uint64_t boundary_sent = 0;        // msgs pushed into out[]
   std::uint64_t boundary_integrated = 0;  // msgs cloned in from peers
+  /// What this shard owns, the inputs of its event-heap bound (see
+  /// ShardSet::own).
+  std::size_t links = 0;
+  std::size_t hosts = 0;
+  std::size_t endpoints = 0;
 };
 
 /// Replaces a Pipe on a route hop whose link crosses shards: snapshots the
@@ -185,9 +193,10 @@ class BoundaryPipe final : public PacketSink {
 class ShardSet {
  public:
   /// One shard per plane; `sim_threads` only sizes the worker pool
-  /// (clamped to [1, num_planes]), so the shard layout — and with it every
+  /// (clamped to num_planes), so the shard layout — and with it every
   /// event timestamp and sequence number — is identical at every thread
-  /// count. That is the whole determinism argument.
+  /// count. That is the whole determinism argument. Throws
+  /// std::invalid_argument on sim_threads < 1.
   ShardSet(int num_planes, int sim_threads);
   ~ShardSet();
   ShardSet(const ShardSet&) = delete;
@@ -213,16 +222,24 @@ class ShardSet {
     return shard(shard_of_host(host)).pool;
   }
 
-  /// Registers a cross-shard link; the barrier lookahead is the minimum
-  /// over all crossings. Throws std::invalid_argument on latency <= 0 — a
-  /// zero-latency crossing would force zero-width epochs.
-  void note_crossing(SimTime latency);
+  /// Registers a host-adjacent link (every cross-shard link is one); the
+  /// barrier lookahead is the minimum over them. Bounding epochs by it even
+  /// when no link crosses shards (one-plane fabrics) keeps completions
+  /// parked until the barrier from starting their follow-up work more than
+  /// one host hop late. Throws std::invalid_argument on latency <= 0 — a
+  /// zero-latency link would force zero-width epochs.
+  void note_host_link(SimTime latency);
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
-  /// Reserve/grow every shard's event heap (mirrors EventQueue::reserve /
-  /// request_capacity; regrowth past the reservation is an audit failure).
-  void reserve_events(std::size_t events);
-  void request_capacity(std::size_t events);
+  /// Adds `links`, `hosts` and transport `endpoints` to what shard `i`
+  /// owns and grows its event heap to the pending bound they imply: one
+  /// in-service completion per queue and one delivery wake per pipe (2 per
+  /// link), one per host, a start event plus a short stack of stale RTO
+  /// wakes per endpoint (arm_rto leaves superseded wakes in the heap until
+  /// they fire), and slack for arrival wakes. Arms regrowth tracking:
+  /// growth past the bound is an audit failure (audit_check).
+  void own(std::size_t i, std::size_t links, std::size_t hosts,
+           std::size_t endpoints);
 
   /// Cancellation token polled by every shard's dispatch loop and by the
   /// epoch loop itself.
@@ -277,6 +294,9 @@ class ShardSet {
   };
 
   static constexpr int kSpinLimit = 2048;
+
+  /// Arrivals can park a few superseded wakes per shard (see Arrivals).
+  static constexpr std::size_t kHeapSlack = 256;
 
   [[nodiscard]] static SimTime sat_add(SimTime a, SimTime b) {
     return a > EventQueue::kNever - b ? EventQueue::kNever : a + b;

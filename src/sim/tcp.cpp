@@ -156,10 +156,7 @@ void TcpSrc::switch_route(const Route* route) {
 
 void TcpSrc::force_repath() {
   if (complete() || abandoned_ || !repath_cb_) return;
-  const Route* fresh = repath_cb_(*this);
-  if (fresh == nullptr) return;
-  switch_route(fresh);
-  if (started_) send_available();
+  apply_repath(repath_cb_(*this));
 }
 
 void TcpSrc::receive(Packet& packet) {

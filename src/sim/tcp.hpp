@@ -140,10 +140,15 @@ class TcpSrc : public EventSource, public PacketSink {
   /// RTOs. No-op without a repath callback (or if it declines).
   void force_repath();
   /// Installs a replacement route built elsewhere — the coordinator-phase
-  /// half of a repath the callback deferred to a shard barrier (see
-  /// FlowFactory). No-op on nullptr, mirroring a declining callback.
+  /// half of a repath the callback deferred to a shard barrier, or a
+  /// controller repin (see FlowFactory) — and resumes sending on it:
+  /// switch_route cleared the RTO deadline and rewound go-back-N, so an
+  /// idle source would otherwise never wake again. No-op on nullptr,
+  /// mirroring a declining callback.
   void apply_repath(const Route* route) {
-    if (route != nullptr) switch_route(route);
+    if (route == nullptr) return;
+    switch_route(route);
+    kick();
   }
   [[nodiscard]] bool abandoned() const { return abandoned_; }
   /// Bytes granted to this sender but not yet acked.

@@ -19,7 +19,7 @@ class TelemetryDriver : public EventSource {
       : events_(events), sampler_(sampler) {}
 
   /// Extra "simulation still has work" predicate consulted alongside this
-  /// queue's own pending count. Sharded runs hook ShardSet::busy() here:
+  /// queue's own pending count. SimHarness hooks ShardSet::busy() here:
   /// the driver rides the control queue, which looks drained whenever the
   /// remaining work lives on shard heaps.
   void set_more_work(std::function<bool()> more_work) {

@@ -426,27 +426,22 @@ std::string run_report_json(const exp::ExperimentSpec& spec, int threads,
 TEST(ControllerDeterminism, PacketReportByteIdenticalAcrossWorkerCounts) {
   const auto spec = small_spec(exp::EngineKind::kPacket,
                                control::ControllerMode::kCentralized);
-  // The serial engine (sim_threads = 0) and the sharded engine are two
-  // implementations with their own event accounting; the byte-identity
-  // contract holds within each (and across every sim_threads >= 1).
-  const std::string serial = run_report_json(spec, 1, 0);
-  EXPECT_NE(serial.find("\"controller\""), std::string::npos);
-  EXPECT_NE(serial.find("\"ctl/ticks\""), std::string::npos);
-  EXPECT_EQ(serial, run_report_json(spec, 4, 0));  // runner threads
-  const std::string sharded = run_report_json(spec, 1, 1);
-  EXPECT_EQ(sharded, run_report_json(spec, 4, 1));  // runner threads
-  EXPECT_EQ(sharded, run_report_json(spec, 1, 4));  // shard workers
-  EXPECT_EQ(sharded, run_report_json(spec, 4, 4));  // both parallel
+  const std::string base = run_report_json(spec, 1, 1);
+  EXPECT_NE(base.find("\"controller\""), std::string::npos);
+  EXPECT_NE(base.find("\"ctl/ticks\""), std::string::npos);
+  EXPECT_EQ(base, run_report_json(spec, 4, 1));  // runner threads
+  EXPECT_EQ(base, run_report_json(spec, 1, 4));  // shard workers
+  EXPECT_EQ(base, run_report_json(spec, 4, 4));  // both parallel
 }
 
 TEST(ControllerDeterminism, FsimReportByteIdenticalAcrossThreads) {
   const auto spec = small_spec(exp::EngineKind::kFsim,
                                control::ControllerMode::kCentralized);
-  const std::string base = run_report_json(spec, 1, 0);
+  const std::string base = run_report_json(spec, 1, 1);
   EXPECT_NE(base.find("\"controller\""), std::string::npos);
   EXPECT_NE(base.find("\"ctl/ticks\""), std::string::npos);
-  EXPECT_EQ(base, run_report_json(spec, 4, 0));
-  EXPECT_EQ(base, run_report_json(spec, 1, 0));
+  EXPECT_EQ(base, run_report_json(spec, 4, 1));
+  EXPECT_EQ(base, run_report_json(spec, 1, 1));
 }
 
 // --------------------------------------------- determinism: controller off
@@ -467,7 +462,7 @@ TEST(ControllerOff, ReportsMatchRunnersPredatingTheField) {
                                control::ControllerMode::kOff);
   // A runner whose default controller is explicitly kOff must produce the
   // same bytes as one that never heard of controllers.
-  const std::string plain = run_report_json(spec, 1, 0);
+  const std::string plain = run_report_json(spec, 1, 1);
   exp::Runner runner(1);
   runner.set_controller(control::ControllerConfig{});  // mode kOff
   exp::Report report("control-determinism");

@@ -3,6 +3,8 @@
 // batched event dispatch against a reference heap, and the steady-state
 // no-regrowth guarantee the harness audits.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -104,6 +106,25 @@ TEST(PacketPoolTest, CountersTrackLiveAndAllocatedAcrossSlabGrowth) {
   EXPECT_EQ(pool.live(), kCount);
   EXPECT_EQ(pool.allocated(), kCount);
   EXPECT_EQ(pool.slabs(), 2u);
+}
+
+TEST(PacketPoolTest, OnePacketCommitsOnlyAFewSlabPages) {
+  // The pool must touch only about what it hands out: one idle shard pool
+  // per plane would otherwise pin a whole 256 KiB slab each. mincore()
+  // reports which pages of the slab the kernel has actually committed.
+  PacketPool pool;
+  const Packet* p = pool.allocate();
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t begin =
+      reinterpret_cast<std::uintptr_t>(p) & ~std::uintptr_t{page - 1};
+  const std::size_t pages = PacketPool::kSlabPackets * sizeof(Packet) / page;
+  std::vector<unsigned char> resident(pages);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(begin), pages * page,
+                    resident.data()),
+            0);
+  std::size_t committed = 0;
+  for (const unsigned char r : resident) committed += (r & 1U) * page;
+  EXPECT_LE(committed, 32U * 1024U);
 }
 
 // ------------------------------------------- intrusive FIFOs in the queue

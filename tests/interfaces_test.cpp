@@ -28,13 +28,16 @@ struct InterfaceHarness {
           spec.parallelism = 2;
           return spec;
         }())),
-        network(events, pool, net, {}),
-        factory(events, pool, network, logger),
+        shards(net.num_planes(), 1),
+        network(control, shards, net, {}),
+        factory(control, shards, network, logger),
         interfaces(net, factory, 4) {}
 
-  sim::EventQueue events;
-  sim::PacketPool pool;
+  void run() { shards.run(control); }
+
+  sim::EventQueue control;
   topo::ParallelNetwork net;
+  sim::ShardSet shards;
   sim::FlowLogger logger;
   sim::SimNetwork network;
   sim::FlowFactory factory;
@@ -45,7 +48,7 @@ TEST(HostInterfaces, LowLatencyIsSinglePath) {
   InterfaceHarness h;
   h.interfaces.send(core::TrafficClass::kLowLatency, HostId{0}, HostId{15},
                     10'000, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   EXPECT_EQ(h.logger.records().front().subflows, 1);
 }
@@ -54,7 +57,7 @@ TEST(HostInterfaces, HighThroughputIsMultipath) {
   InterfaceHarness h;
   h.interfaces.send(core::TrafficClass::kHighThroughput, HostId{0},
                     HostId{15}, 1'000'000, 0);
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 1u);
   EXPECT_EQ(h.logger.records().front().subflows, 4);
 }
@@ -65,7 +68,7 @@ TEST(HostInterfaces, DefaultDispatchesOnSize) {
                     1'000'000, 0);  // small: single path
   h.interfaces.send(core::TrafficClass::kDefault, HostId{1}, HostId{14},
                     200'000'000, 0);  // > 100 MB: multipath
-  h.events.run();
+  h.run();
   ASSERT_EQ(h.logger.records().size(), 2u);
   std::map<std::uint64_t, int> subflows_by_size;
   for (const auto& r : h.logger.records()) {

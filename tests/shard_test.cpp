@@ -1,11 +1,12 @@
-// Tests for the plane-sharded simulation core (DESIGN.md §5i): the
+// Tests for the plane-sharded packet engine (DESIGN.md §5i): the
 // EventQueue horizon/run_before primitives the epoch loop is built on, the
-// ArrivalQueue / handoff merge order, and the headline contract — a
-// sharded harness produces byte-identical flow records and event counts at
-// every worker count, with and without fault injection, with boundary
-// packet conservation holding under audit.
+// ArrivalQueue / handoff merge order, and the headline contract — the
+// harness produces byte-identical flow records and event counts at every
+// worker count, with and without fault injection, with boundary packet
+// conservation holding under audit.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -149,9 +150,9 @@ TEST(ShardSetTest, RejectsZeroLatencyCrossing) {
   ShardSet shards(4, 2);
   EXPECT_EQ(shards.size(), 4u);
   EXPECT_EQ(shards.workers(), 2);
-  EXPECT_THROW(shards.note_crossing(0), std::invalid_argument);
-  shards.note_crossing(kMicrosecond);
-  shards.note_crossing(kMicrosecond / 2);
+  EXPECT_THROW(shards.note_host_link(0), std::invalid_argument);
+  shards.note_host_link(kMicrosecond);
+  shards.note_host_link(kMicrosecond / 2);
   EXPECT_EQ(shards.lookahead(), kMicrosecond / 2);
 }
 
@@ -159,6 +160,17 @@ TEST(ShardSetTest, WorkerPoolClampsToPlaneCount) {
   ShardSet shards(2, 8);
   EXPECT_EQ(shards.size(), 2u);   // shard layout pinned to the planes
   EXPECT_EQ(shards.workers(), 2);  // pool clamped, layout unchanged
+}
+
+TEST(ShardSetTest, RejectsWorkerPoolBelowOne) {
+  EXPECT_THROW(ShardSet(2, 0), std::invalid_argument);
+  EXPECT_THROW(ShardSet(2, -1), std::invalid_argument);
+  topo::NetworkSpec spec;
+  spec.topo = topo::TopoKind::kFatTree;
+  spec.hosts = 16;
+  EXPECT_THROW(
+      core::SimHarness({.spec = spec, .policy = {}, .sim_threads = 0}),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------ end-to-end identity
@@ -245,23 +257,18 @@ TEST(ShardedEngine, RunsToNaturalDrainWithoutDeadline) {
   spec.parallelism = 4;
   core::PolicyConfig policy;
   policy.policy = core::RoutingPolicy::kShortestPlane;
-  core::SimHarness serial({.spec = spec, .policy = policy});
-  core::SimHarness sharded(
+  core::SimHarness harness(
       {.spec = spec, .policy = policy, .sim_threads = 4});
-  for (core::SimHarness* h : {&serial, &sharded}) {
-    h->starter()(HostId{0}, HostId{15}, 1'000'000, 0, {});
-    h->starter()(HostId{3}, HostId{9}, 1'000'000, 0, {});
-    h->run();
-    EXPECT_EQ(h->logger().records().size(), 2u);
-  }
-  // Same physics: the sharded engine completes the same transfers at the
-  // same simulated times (legacy vs sharded event COUNTS differ — arrival
-  // wakes — but flow records must not).
+  harness.starter()(HostId{0}, HostId{15}, 1'000'000, 0, {});
+  harness.starter()(HostId{3}, HostId{9}, 1'000'000, 0, {});
+  harness.run();
+  ASSERT_EQ(harness.logger().records().size(), 2u);
+  // Same physics as a single global event queue: the engine completes the
+  // transfers at the simulated times that queue produced (event COUNTS
+  // differ — arrival wakes — but flow records must not).
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(serial.logger().records()[i].end,
-              sharded.logger().records()[i].end);
-    EXPECT_EQ(serial.logger().records()[i].delivered_bytes,
-              sharded.logger().records()[i].delivered_bytes);
+    EXPECT_EQ(harness.logger().records()[i].end, 391'475'200);
+    EXPECT_EQ(harness.logger().records()[i].delivered_bytes, 1'000'000u);
   }
 }
 
@@ -286,7 +293,6 @@ TEST(ShardedEngine, BoundaryConservationUnderAudit) {
   harness.run();
   harness.finalize(harness.events().now());
 
-  ASSERT_NE(harness.shards(), nullptr);
   // Real cross-shard traffic happened, and every boundary packet that was
   // sent was integrated and delivered (mailboxes and arrival buffers are
   // empty after a drained run).
@@ -299,23 +305,19 @@ TEST(ShardedEngine, BoundaryConservationUnderAudit) {
 
 TEST(ShardedEngine, SinglePlaneTopologyStillWorks) {
   // Degenerate sharding: one plane, one shard — the epoch loop must not
-  // deadlock or disagree with the serial engine.
+  // deadlock or disagree with a single global event queue.
   topo::NetworkSpec spec;
   spec.topo = topo::TopoKind::kFatTree;
   spec.hosts = 16;
   core::PolicyConfig policy;
   policy.policy = core::RoutingPolicy::kShortestPlane;
-  core::SimHarness serial({.spec = spec, .policy = policy});
-  core::SimHarness sharded(
+  core::SimHarness harness(
       {.spec = spec, .policy = policy, .sim_threads = 4});
-  for (core::SimHarness* h : {&serial, &sharded}) {
-    h->starter()(HostId{1}, HostId{14}, 500'000, 0, {});
-    h->run();
-  }
-  ASSERT_EQ(serial.logger().records().size(), 1u);
-  ASSERT_EQ(sharded.logger().records().size(), 1u);
-  EXPECT_EQ(serial.logger().records()[0].end,
-            sharded.logger().records()[0].end);
+  harness.starter()(HostId{1}, HostId{14}, 500'000, 0, {});
+  harness.run();
+  ASSERT_EQ(harness.logger().records().size(), 1u);
+  EXPECT_EQ(harness.logger().records()[0].end, 75'576'000);
+  EXPECT_EQ(harness.logger().records()[0].delivered_bytes, 500'000u);
 }
 
 }  // namespace
