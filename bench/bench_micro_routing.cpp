@@ -4,24 +4,34 @@
 // the cost of the path computations the experiments lean on.
 //
 // Besides the default google-benchmark mode, `--json[=PATH]` switches to a
-// self-contained report mode that measures what the route cache buys the
-// experiment stack — cold vs warm lookup latency, cache hit rate, arena
-// footprint, and the fsim KSP sweep (route 10k flows at k=16) with the
-// cache enabled vs in pass-through mode — and writes one JSON document
-// (committed as BENCH_routing.json at the repo root). Report-mode flags:
-// --flows, --k, --hosts, --planes, --pairs.
+// self-contained report mode and writes one JSON document (committed as
+// BENCH_routing.json at the repo root):
+//  * route_cache — cold vs warm RouteCache lookup latency, hit rate and
+//    arena footprint over --pairs distinct Jellyfish pairs;
+//  * ksp_cold — cold ksp_across_planes for one host permutation on
+//    flow_sweep-shaped fabrics (seed 1 for both; --hosts-host Jellyfish,
+//    N = 1, 2, 4 planes,
+//    K = 2N, per-pair tie-break seeds as fsim uses), the best of --repeat
+//    passes, with the path count and an FNV-1a digest of every returned
+//    link sequence. The digest is a pure function of the config: CI and
+//    the bench_micro_routing_digest ctest require it to equal the
+//    committed one, and CI fails on a >15% regression of its wall time;
+//  * provenance — commit (--commit, default "unknown"), compiler, build
+//    type and host_cpus.
+// Report-mode flags: --hosts, --pairs, --repeat, --commit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/path_selector.hpp"
 #include "exp/json.hpp"
-#include "fsim/fluid.hpp"
+#include "exp/spec.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/plane_paths.hpp"
 #include "routing/route_cache.hpp"
@@ -30,6 +40,7 @@
 #include "topo/parallel.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
+#include "workload/patterns.hpp"
 
 namespace {
 
@@ -161,48 +172,70 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Routes `flows` KSP-multipath flows through a FluidSimulator backed by
-/// `cache`, returning the wall-clock seconds spent routing (add_flow).
-double route_flows(const topo::ParallelNetwork& net,
-                   const fsim::FsimConfig& config,
-                   std::shared_ptr<routing::RouteCache> cache, int flows,
-                   std::uint64_t seed) {
-  fsim::FluidSimulator fluid(net, config, std::move(cache));
-  Rng rng(seed);
-  const auto hosts = static_cast<std::uint64_t>(net.num_hosts());
-  std::vector<fsim::FlowSpec> specs;
-  specs.reserve(static_cast<std::size_t>(flows));
-  for (int i = 0; i < flows; ++i) {
-    const HostId src{static_cast<std::int32_t>(rng.next_below(hosts))};
-    HostId dst{static_cast<std::int32_t>(rng.next_below(hosts))};
-    if (dst == src) dst = HostId{(dst.v + 1) % net.num_hosts()};
-    specs.push_back({src, dst, 1'000'000, 0});
+/// fsim's per-pair KSP tie-break seed (fsim/fluid.cpp), so the timed
+/// lookups are the ones the fluid engine and flow_sweep issue.
+std::uint64_t ksp_seed(HostId src, HostId dst) {
+  const std::uint64_t pair_key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.v)) << 32) |
+      static_cast<std::uint32_t>(dst.v);
+  return mix64(pair_key ^ 0xABCD);
+}
+
+/// Appends "src>dst|plane:l,l,|plane:l,l,\n" for one pair's paths: the
+/// text the ksp_cold digest hashes.
+void append_paths(std::string& text, HostId src, HostId dst,
+                  const std::vector<routing::Path>& paths) {
+  text += std::to_string(src.v);
+  text += '>';
+  text += std::to_string(dst.v);
+  for (const routing::Path& p : paths) {
+    text += '|';
+    text += std::to_string(p.plane);
+    text += ':';
+    for (const LinkId id : p.links) {
+      text += std::to_string(id.v);
+      text += ',';
+    }
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& spec : specs) fluid.add_flow(spec);
-  return seconds_since(t0);
+  text += '\n';
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string compiler_id() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 int run_json_report(const Flags& flags) {
   const std::string path = flags.get("json", "-");
-  // 32 hosts -> 992 (src, dst) pairs, so 10k flows revisit each pair ~10
-  // times: the regime the per-cell shared cache targets (many flows, few
-  // pairs). --hosts=64 shows the low-reuse end instead.
-  const int hosts = flags.get_int("hosts", 32);
-  const int planes = flags.get_int("planes", 2);
-  const int flows = flags.get_int("flows", 10'000);
-  const int k = flags.get_int("k", 16);
+  const int hosts = flags.get_int("hosts", 192);
   const int pairs = flags.get_int("pairs", 512);
+  const int repeat = std::max(1, flags.get_int("repeat", 3));
 
   exp::JsonWriter w;
   w.begin_object();
   w.field("bench", "micro_routing");
+  w.key("provenance").begin_object();
+  w.field("commit", flags.get("commit", "unknown"));
+  w.field("compiler", compiler_id());
+  w.field("build_type", PNET_BUILD_TYPE);
+  w.field("host_cpus", static_cast<int>(std::thread::hardware_concurrency()));
+  w.end_object();
   w.key("config").begin_object();
   w.field("hosts", hosts);
-  w.field("planes", planes);
-  w.field("flows", flows);
-  w.field("k", k);
   w.field("pairs", pairs);
+  w.field("repeat", repeat);
   w.end_object();
 
   // Cold vs warm lookup latency over `pairs` distinct jellyfish pairs.
@@ -240,42 +273,63 @@ int run_json_report(const Flags& flags) {
     w.end_object();
   }
 
-  // The fsim KSP sweep: route `flows` k-shortest-path multipath flows with
-  // the shared cache enabled vs forced pass-through (PNET_ROUTE_CACHE=off
-  // equivalent). The candidate KSP pools are per-pair, so the cached run
-  // computes each pair once and the speedup approaches flows / pairs.
+  // Cold KSP on flow_sweep's fabric shape: every lookup computes.
   {
-    topo::NetworkSpec spec;
-    spec.topo = topo::TopoKind::kFatTree;
-    spec.type = topo::NetworkType::kParallelHomogeneous;
-    spec.hosts = hosts;
-    spec.parallelism = planes;
-    const auto net = topo::build_network(spec);
+    std::string text;
+    std::size_t total_paths = 0;
+    double total_s = 0.0;
+    w.key("ksp_cold").begin_object();
+    w.field("hosts", hosts);
+    w.key("rows").begin_array();
+    for (const int planes : {1, 2, 4}) {
+      topo::NetworkSpec spec;
+      spec.topo = topo::TopoKind::kJellyfish;
+      spec.type = planes == 1 ? topo::NetworkType::kSerialLow
+                              : topo::NetworkType::kParallelHeterogeneous;
+      spec.hosts = hosts;
+      spec.parallelism = planes;
+      spec.seed = 1;
+      const auto net = topo::build_network(spec);
+      const int k = 2 * planes;
+      Rng rng(1);
+      const auto permutation =
+          workload::permutation_pairs(net.num_hosts(), rng);
 
-    fsim::FsimConfig config;
-    config.scheme = fsim::RouteScheme::kKspMultipath;
-    config.k = k;
-
-    const auto cached = std::make_shared<routing::RouteCache>(true);
-    const double cached_s = route_flows(net, config, cached, flows, 23);
-    const double uncached_s = route_flows(
-        net, config, std::make_shared<routing::RouteCache>(false), flows,
-        23);
-    const auto stats = cached->stats();
-
-    w.key("fsim_ksp_sweep").begin_object();
-    w.field("engine", "fsim");
-    w.field("scheme", "ksp_multipath");
-    // The fat-tree builder rounds the host count up to the next radix.
-    w.field("built_hosts", net.num_hosts());
-    w.field("cached_s", cached_s);
-    w.field("uncached_s", uncached_s);
-    w.field("speedup", cached_s > 0 ? uncached_s / cached_s : 0.0);
-    w.field("hits", stats.hits);
-    w.field("misses", stats.misses);
-    w.field("hit_rate", static_cast<double>(stats.hits) /
-                            static_cast<double>(stats.hits + stats.misses));
-    w.field("arena_bytes", stats.arena_bytes);
+      std::vector<std::vector<routing::Path>> routes(permutation.size());
+      double best_s = 0.0;
+      for (int rep = 0; rep < repeat; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < permutation.size(); ++i) {
+          const auto [src, dst] = permutation[i];
+          routes[i] = routing::ksp_across_planes(net, src, dst, k,
+                                                 ksp_seed(src, dst));
+        }
+        const double s = seconds_since(t0);
+        if (rep == 0 || s < best_s) best_s = s;
+      }
+      std::string row_text;
+      std::size_t row_paths = 0;
+      for (std::size_t i = 0; i < permutation.size(); ++i) {
+        append_paths(row_text, permutation[i].first, permutation[i].second,
+                     routes[i]);
+        row_paths += routes[i].size();
+      }
+      w.begin_object();
+      w.field("planes", planes);
+      w.field("k", k);
+      w.field("pairs", static_cast<int>(permutation.size()));
+      w.field("paths", row_paths);
+      w.field("digest", hex64(exp::fnv1a(row_text)));
+      w.field("wall_s", best_s);
+      w.end_object();
+      text += row_text;
+      total_paths += row_paths;
+      total_s += best_s;
+    }
+    w.end_array();
+    w.field("paths", total_paths);
+    w.field("digest", hex64(exp::fnv1a(text)));
+    w.field("wall_s", total_s);
     w.end_object();
   }
 

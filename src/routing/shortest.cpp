@@ -1,6 +1,7 @@
 #include "routing/shortest.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 namespace pnet::routing {
@@ -93,9 +94,30 @@ std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
                              const LinkWeights& weights,
                              const std::vector<bool>& banned_links,
                              const std::vector<bool>& banned_nodes) {
+  SearchWorkspace ws;
+  return dijkstra(g, src, dst, weights.data(), banned_links, banned_nodes,
+                  ws);
+}
+
+std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
+                             const double* weights,
+                             const std::vector<bool>& banned_links,
+                             const std::vector<bool>& banned_nodes,
+                             SearchWorkspace& ws) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
-  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
+  const auto num_nodes = static_cast<std::size_t>(g.num_nodes());
+  if (ws.dist.size() != num_nodes) {
+    ws.dist.assign(num_nodes, kInf);
+    ws.parent_link.resize(num_nodes);
+  } else {
+    for (const std::int32_t v : ws.touched) {
+      ws.dist[static_cast<std::size_t>(v)] = kInf;
+    }
+  }
+  ws.touched.clear();
+  ws.heap.clear();
+  auto& dist = ws.dist;
+  auto& heap = ws.heap;
 
   auto node_banned = [&](NodeId n) {
     return !banned_nodes.empty() && banned_nodes[static_cast<std::size_t>(n.v)];
@@ -105,31 +127,40 @@ std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
   };
   if (node_banned(src) || node_banned(dst)) return std::nullopt;
 
-  using Entry = std::pair<double, std::int32_t>;  // (dist, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  // A min-heap on (dist, node): entries are totally ordered, so the pop
+  // order does not depend on which entries share the heap.
+  constexpr std::greater<> kAfter;
   dist[static_cast<std::size_t>(src.v)] = 0.0;
-  heap.emplace(0.0, src.v);
+  ws.touched.push_back(src.v);
+  heap.emplace_back(0.0, src.v);
   while (!heap.empty()) {
-    const auto [d, uv] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), kAfter);
+    const auto [d, uv] = heap.back();
+    heap.pop_back();
     const NodeId u{uv};
     if (d > dist[static_cast<std::size_t>(uv)]) continue;
     if (u == dst) break;
-    if (!can_transit(g, u, src)) continue;
     for (LinkId id : g.out_links(u)) {
-      if (link_banned(id)) continue;
       const NodeId v = g.link(id).dst;
-      if (node_banned(v)) continue;
-      const double nd = d + weights[static_cast<std::size_t>(id.v)];
-      if (nd < dist[static_cast<std::size_t>(v.v)]) {
-        dist[static_cast<std::size_t>(v.v)] = nd;
-        parent_link[static_cast<std::size_t>(v.v)] = id;
-        heap.emplace(nd, v.v);
-      }
+      const double nd =
+          d + (weights != nullptr ? weights[static_cast<std::size_t>(id.v)]
+                                  : 1.0);
+      double& dv = dist[static_cast<std::size_t>(v.v)];
+      // The filters commute, so the one most relaxations fail goes first.
+      if (!(nd < dv)) continue;
+      // Only the source and `dst` may be hosts on a path: a host entry
+      // would be popped and never expanded.
+      if (v != dst && g.is_host(v)) continue;
+      if (link_banned(id) || node_banned(v)) continue;
+      if (dv == kInf) ws.touched.push_back(v.v);
+      dv = nd;
+      ws.parent_link[static_cast<std::size_t>(v.v)] = id;
+      heap.emplace_back(nd, v.v);
+      std::push_heap(heap.begin(), heap.end(), kAfter);
     }
   }
   if (dist[static_cast<std::size_t>(dst.v)] == kInf) return std::nullopt;
-  return reconstruct(parent_link, src, dst, g);
+  return reconstruct(ws.parent_link, src, dst, g);
 }
 
 std::vector<std::vector<int>> all_pairs_switch_hops(

@@ -4,9 +4,11 @@
 // the physical constraint that servers do not forward.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "routing/path.hpp"
@@ -32,10 +34,31 @@ using LinkWeights = std::vector<double>;
 
 /// Weighted shortest path; `banned_links`/`banned_nodes` (optional, may be
 /// empty) support Yen's spur computations. Weights must be non-negative.
+/// A host other than `dst` is never relaxed (it could not transit), so
+/// hosts never enter the heap. Equal-cost ties keep the predecessor that
+/// popped first in (dist, node id) order.
 std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
                              const LinkWeights& weights,
                              const std::vector<bool>& banned_links = {},
                              const std::vector<bool>& banned_nodes = {});
+
+/// Scratch state for repeated searches: a caller running many searches on
+/// one graph (Yen's spurs) keeps one and each search resets only the nodes
+/// the previous one touched.
+struct SearchWorkspace {
+  std::vector<double> dist;  // +inf except at `touched` nodes
+  std::vector<LinkId> parent_link;
+  std::vector<std::pair<double, std::int32_t>> heap;  // (dist, node)
+  std::vector<std::int32_t> touched;
+};
+
+/// The Dijkstra behind the overload above, on caller-owned scratch.
+/// `weights` may be null for unit weights (indexed by LinkId::v otherwise).
+std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
+                             const double* weights,
+                             const std::vector<bool>& banned_links,
+                             const std::vector<bool>& banned_nodes,
+                             SearchWorkspace& ws);
 
 /// Hop distances between every pair of switches, indexed by position in
 /// `switches`. Used by the fault-tolerance study (Fig 14).

@@ -35,77 +35,91 @@ std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
   std::vector<Path> result;
   if (k <= 0 || src == dst) return result;
 
-  const LinkWeights unit =
-      tiebreak_weights != nullptr
-          ? *tiebreak_weights
-          : LinkWeights(static_cast<std::size_t>(g.num_links()), 1.0);
+  // Null weights search the unit metric; the caller's jitter is read in
+  // place.
+  const double* weights =
+      tiebreak_weights != nullptr ? tiebreak_weights->data() : nullptr;
+  SearchWorkspace ws;
+  // Spur bans are layered on the caller's fault mask; `spur_banned` lists
+  // the links one spur added so exactly those are lifted again.
+  std::vector<bool> banned_links =
+      base_banned != nullptr && !base_banned->empty()
+          ? *base_banned
+          : std::vector<bool>(static_cast<std::size_t>(g.num_links()));
+  std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
+  std::vector<LinkId> spur_banned;
 
-  const std::vector<bool> no_base;
-  const std::vector<bool>& base =
-      base_banned != nullptr ? *base_banned : no_base;
-
-  auto first = dijkstra(g, src, dst, unit, base);
+  auto first = dijkstra(g, src, dst, weights, banned_links, banned_nodes, ws);
   if (!first) return result;
   result.push_back(std::move(*first));
 
   std::set<Path, PathLess> candidates;
-  std::vector<bool> banned_links(static_cast<std::size_t>(g.num_links()));
-  std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
+  // Indices into `result` of the paths sharing prev's first i links (the
+  // root), and of those that also share its link i. Found paths are
+  // distinct, loopless and end at dst, so each one in `sharing` has a
+  // link i.
+  std::vector<std::size_t> sharing;
+  std::vector<std::size_t> sharing_next;
 
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
+    sharing.resize(result.size());
+    for (std::size_t j = 0; j < sharing.size(); ++j) sharing[j] = j;
 
     // Spur from every node of the previous path except the destination.
-    Path root_path;
-    root_path.plane = prev.plane;
     NodeId spur_node = src;
     for (std::size_t i = 0; i < prev.links.size(); ++i) {
-      // Ban links that would recreate any already-found path sharing this
-      // root; start from the caller's fault mask.
-      if (base.empty()) {
-        std::fill(banned_links.begin(), banned_links.end(), false);
-      } else {
-        banned_links.assign(base.begin(), base.end());
+      const LinkId next = prev.links[i];
+      sharing_next.clear();
+      for (const std::size_t j : sharing) {
+        if (result[j].links[i] == next) sharing_next.push_back(j);
       }
-      std::fill(banned_nodes.begin(), banned_nodes.end(), false);
-      for (const Path& p : result) {
-        if (p.links.size() >= i &&
-            std::equal(root_path.links.begin(), root_path.links.end(),
-                       p.links.begin())) {
-          if (p.links.size() > i) {
-            banned_links[static_cast<std::size_t>(p.links[i].v)] = true;
+      // Lawler's skip: when an earlier path also continues this root
+      // through `next`, adding prev banned no new link here, so the bans
+      // equal those of the last spur from this root and the search would
+      // return a path already in `candidates` or `result`.
+      if (sharing_next.size() == 1) {
+        // Ban links that would recreate any already-found path sharing
+        // this root.
+        for (const std::size_t j : sharing) {
+          const LinkId l = result[j].links[i];
+          if (!banned_links[static_cast<std::size_t>(l.v)]) {
+            banned_links[static_cast<std::size_t>(l.v)] = true;
+            spur_banned.push_back(l);
           }
+        }
+        auto spur = dijkstra(g, spur_node, dst, weights, banned_links,
+                             banned_nodes, ws);
+        for (const LinkId l : spur_banned) {
+          banned_links[static_cast<std::size_t>(l.v)] = false;
+        }
+        spur_banned.clear();
+        if (spur) {
+          Path total;
+          total.plane = prev.plane;
+          total.links.reserve(i + spur->links.size());
+          total.links.assign(prev.links.begin(),
+                             prev.links.begin() +
+                                 static_cast<std::ptrdiff_t>(i));
+          total.links.insert(total.links.end(), spur->links.begin(),
+                             spur->links.end());
+          const bool known =
+              std::find(result.begin(), result.end(), total) != result.end();
+          if (!known) candidates.insert(std::move(total));
         }
       }
       // Ban the root path's interior nodes so spur paths stay loopless.
-      NodeId at = src;
-      for (const LinkId id : root_path.links) {
-        banned_nodes[static_cast<std::size_t>(at.v)] = true;
-        at = g.link(id).dst;
-      }
-
-      auto spur = dijkstra(g, spur_node, dst, unit, banned_links,
-                           banned_nodes);
-      if (spur) {
-        Path total;
-        total.plane = prev.plane;
-        total.links = root_path.links;
-        total.links.insert(total.links.end(), spur->links.begin(),
-                           spur->links.end());
-        const bool known =
-            std::find(result.begin(), result.end(), total) != result.end();
-        if (!known) candidates.insert(std::move(total));
-      }
-
-      if (i < prev.links.size()) {
-        root_path.links.push_back(prev.links[i]);
-        spur_node = g.link(prev.links[i]).dst;
-      }
+      banned_nodes[static_cast<std::size_t>(spur_node.v)] = true;
+      spur_node = g.link(next).dst;
+      sharing.swap(sharing_next);
+    }
+    banned_nodes[static_cast<std::size_t>(src.v)] = false;
+    for (const LinkId id : prev.links) {
+      banned_nodes[static_cast<std::size_t>(g.link(id).dst.v)] = false;
     }
 
     if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
+    result.push_back(std::move(candidates.extract(candidates.begin()).value()));
   }
   return result;
 }

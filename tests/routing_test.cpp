@@ -1,10 +1,17 @@
 // Tests for routing: BFS/Dijkstra correctness, Yen KSP properties (loopless,
-// sorted, distinct, complete vs brute force), ECMP enumeration/hashing, and
-// cross-plane path merging.
+// sorted, distinct, complete vs brute force, path-for-path equal to the
+// reference implementation), ECMP enumeration/hashing, and cross-plane path
+// merging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "routing/ecmp.hpp"
 #include "routing/path.hpp"
@@ -15,12 +22,213 @@
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/parallel.hpp"
+#include "topo/xpander.hpp"
+#include "util/rng.hpp"
 
 namespace pnet::routing {
 namespace {
 
 using topo::Graph;
 using topo::NodeKind;
+
+// The Dijkstra, Yen and cross-plane merge this library shipped before the
+// redundant-spur skip, the host-free heap and the reused search workspace,
+// kept verbatim as the reference the fast path must match path for path.
+namespace reference {
+
+bool can_transit(const topo::Graph& g, NodeId node, NodeId src) {
+  return node == src || !g.is_host(node);
+}
+
+Path reconstruct(const std::vector<LinkId>& parent_link, NodeId src,
+                 NodeId dst, const topo::Graph& g) {
+  Path path;
+  NodeId at = dst;
+  while (at != src) {
+    const LinkId incoming = parent_link[static_cast<std::size_t>(at.v)];
+    path.links.push_back(incoming);
+    at = g.link(incoming).src;
+  }
+  std::reverse(path.links.begin(), path.links.end());
+  return path;
+}
+
+std::optional<Path> dijkstra(const topo::Graph& g, NodeId src, NodeId dst,
+                             const LinkWeights& weights,
+                             const std::vector<bool>& banned_links = {},
+                             const std::vector<bool>& banned_nodes = {}) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
+  std::vector<LinkId> parent_link(static_cast<std::size_t>(g.num_nodes()));
+
+  auto node_banned = [&](NodeId n) {
+    return !banned_nodes.empty() && banned_nodes[static_cast<std::size_t>(n.v)];
+  };
+  auto link_banned = [&](LinkId l) {
+    return !banned_links.empty() && banned_links[static_cast<std::size_t>(l.v)];
+  };
+  if (node_banned(src) || node_banned(dst)) return std::nullopt;
+
+  using Entry = std::pair<double, std::int32_t>;  // (dist, node)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(src.v)] = 0.0;
+  heap.emplace(0.0, src.v);
+  while (!heap.empty()) {
+    const auto [d, uv] = heap.top();
+    heap.pop();
+    const NodeId u{uv};
+    if (d > dist[static_cast<std::size_t>(uv)]) continue;
+    if (u == dst) break;
+    if (!can_transit(g, u, src)) continue;
+    for (LinkId id : g.out_links(u)) {
+      if (link_banned(id)) continue;
+      const NodeId v = g.link(id).dst;
+      if (node_banned(v)) continue;
+      const double nd = d + weights[static_cast<std::size_t>(id.v)];
+      if (nd < dist[static_cast<std::size_t>(v.v)]) {
+        dist[static_cast<std::size_t>(v.v)] = nd;
+        parent_link[static_cast<std::size_t>(v.v)] = id;
+        heap.emplace(nd, v.v);
+      }
+    }
+  }
+  if (dist[static_cast<std::size_t>(dst.v)] == kInf) return std::nullopt;
+  return reconstruct(parent_link, src, dst, g);
+}
+
+struct PathLess {
+  bool operator()(const Path& a, const Path& b) const {
+    if (a.hops() != b.hops()) return a.hops() < b.hops();
+    return a.links < b.links;
+  }
+};
+
+std::vector<Path> k_shortest_paths(const topo::Graph& g, NodeId src,
+                                   NodeId dst, int k,
+                                   const LinkWeights* tiebreak_weights,
+                                   const std::vector<bool>* base_banned) {
+  std::vector<Path> result;
+  if (k <= 0 || src == dst) return result;
+
+  const LinkWeights unit =
+      tiebreak_weights != nullptr
+          ? *tiebreak_weights
+          : LinkWeights(static_cast<std::size_t>(g.num_links()), 1.0);
+
+  const std::vector<bool> no_base;
+  const std::vector<bool>& base =
+      base_banned != nullptr ? *base_banned : no_base;
+
+  auto first = dijkstra(g, src, dst, unit, base);
+  if (!first) return result;
+  result.push_back(std::move(*first));
+
+  std::set<Path, PathLess> candidates;
+  std::vector<bool> banned_links(static_cast<std::size_t>(g.num_links()));
+  std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
+
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+
+    // Spur from every node of the previous path except the destination.
+    Path root_path;
+    root_path.plane = prev.plane;
+    NodeId spur_node = src;
+    for (std::size_t i = 0; i < prev.links.size(); ++i) {
+      // Ban links that would recreate any already-found path sharing this
+      // root; start from the caller's fault mask.
+      if (base.empty()) {
+        std::fill(banned_links.begin(), banned_links.end(), false);
+      } else {
+        banned_links.assign(base.begin(), base.end());
+      }
+      std::fill(banned_nodes.begin(), banned_nodes.end(), false);
+      for (const Path& p : result) {
+        if (p.links.size() >= i &&
+            std::equal(root_path.links.begin(), root_path.links.end(),
+                       p.links.begin())) {
+          if (p.links.size() > i) {
+            banned_links[static_cast<std::size_t>(p.links[i].v)] = true;
+          }
+        }
+      }
+      // Ban the root path's interior nodes so spur paths stay loopless.
+      NodeId at = src;
+      for (const LinkId id : root_path.links) {
+        banned_nodes[static_cast<std::size_t>(at.v)] = true;
+        at = g.link(id).dst;
+      }
+
+      auto spur = dijkstra(g, spur_node, dst, unit, banned_links,
+                           banned_nodes);
+      if (spur) {
+        Path total;
+        total.plane = prev.plane;
+        total.links = root_path.links;
+        total.links.insert(total.links.end(), spur->links.begin(),
+                           spur->links.end());
+        const bool known =
+            std::find(result.begin(), result.end(), total) != result.end();
+        if (!known) candidates.insert(std::move(total));
+      }
+
+      if (i < prev.links.size()) {
+        root_path.links.push_back(prev.links[i]);
+        spur_node = g.link(prev.links[i]).dst;
+      }
+    }
+
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
+                                    HostId src, HostId dst, int k,
+                                    std::uint64_t tiebreak_seed,
+                                    int total_cap, const PlaneBans* bans) {
+  if (total_cap <= 0) total_cap = k;
+  // (hops, rank within plane, plane, path): sorting by this tuple yields
+  // globally shortest first with round-robin across planes at equal length.
+  std::vector<std::tuple<int, int, int>> order;
+  std::vector<Path> pool;
+
+  for (int p = 0; p < net.num_planes(); ++p) {
+    const topo::Graph& g = net.plane(p).graph;
+    LinkWeights jitter;
+    if (tiebreak_seed != 0) {
+      jitter = jittered_unit_weights(
+          g, tiebreak_seed + static_cast<std::uint64_t>(p) * 0x1F3D5B79ULL);
+    }
+    auto paths = k_shortest_paths(g, net.host_node(p, src),
+                                  net.host_node(p, dst), k,
+                                  tiebreak_seed != 0 ? &jitter : nullptr,
+                                  detail::plane_bans(bans, p));
+    for (std::size_t rank = 0; rank < paths.size(); ++rank) {
+      paths[rank].plane = p;
+      order.emplace_back(paths[rank].hops(), static_cast<int>(rank), p);
+      pool.push_back(std::move(paths[rank]));
+    }
+  }
+
+  std::vector<std::size_t> index(pool.size());
+  for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
+  std::sort(index.begin(), index.end(), [&](std::size_t a, std::size_t b) {
+    return order[a] < order[b];
+  });
+
+  std::vector<Path> out;
+  out.reserve(static_cast<std::size_t>(total_cap));
+  for (std::size_t i = 0;
+       i < index.size() && static_cast<int>(out.size()) < total_cap; ++i) {
+    out.push_back(std::move(pool[index[i]]));
+  }
+  return out;
+}
+
+}  // namespace reference
 
 /// A diamond with a long detour:
 ///   s - a - t,  s - b - t,  s - c - d - t
@@ -109,6 +317,92 @@ TEST(Dijkstra, BannedLinksAndNodes) {
   EXPECT_FALSE(dijkstra(g, n[0], n[3], unit, all_banned).has_value());
 }
 
+TEST(Dijkstra, HostsNeverTransitEvenWhenCheaper) {
+  // hs - s1 ==(10)== s2 - hd, with host hx wired to both switches: the
+  // detour s1 - hx - s2 costs 2 against the direct cable's 10, but a host
+  // forwards nothing.
+  Graph g;
+  const NodeId hs = g.add_node(NodeKind::kHost, HostId{0});
+  const NodeId hd = g.add_node(NodeKind::kHost, HostId{1});
+  const NodeId hx = g.add_node(NodeKind::kHost, HostId{2});
+  const NodeId s1 = g.add_node(NodeKind::kSwitch);
+  const NodeId s2 = g.add_node(NodeKind::kSwitch);
+  g.add_duplex_link(hs, s1, 1, 1);
+  const LinkId direct = g.add_duplex_link(s1, s2, 1, 1);
+  g.add_duplex_link(s2, hd, 1, 1);
+  g.add_duplex_link(s1, hx, 1, 1);
+  g.add_duplex_link(hx, s2, 1, 1);
+  const LinkId hs_hd = g.add_duplex_link(hs, hd, 1, 1);
+  LinkWeights w(static_cast<std::size_t>(g.num_links()), 1.0);
+  w[static_cast<std::size_t>(direct.v)] = 10.0;
+  w[static_cast<std::size_t>(direct.v ^ 1)] = 10.0;
+  // Make the hs - hd cable too dear to matter for the first search.
+  w[static_cast<std::size_t>(hs_hd.v)] = 100.0;
+  w[static_cast<std::size_t>(hs_hd.v ^ 1)] = 100.0;
+
+  const auto path = dijkstra(g, hs, hd, w);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_TRUE(is_valid_path(g, *path, hs, hd));
+  EXPECT_EQ(path->hops(), 3);
+  for (const LinkId id : path->links) {
+    EXPECT_NE(g.link(id).src, hx);
+    EXPECT_NE(g.link(id).dst, hx);
+  }
+  // The same search between the switches also refuses the host detour.
+  const auto s1_s2 = dijkstra(g, s1, s2, w);
+  ASSERT_TRUE(s1_s2.has_value());
+  EXPECT_EQ(s1_s2->links, std::vector<LinkId>{direct});
+
+  // A destination host adjacent to the source still resolves, from a
+  // switch and from a host.
+  const auto to_hx = dijkstra(g, s1, hx, w);
+  ASSERT_TRUE(to_hx.has_value());
+  EXPECT_EQ(to_hx->hops(), 1);
+  EXPECT_EQ(g.link(to_hx->links.front()).dst, hx);
+  const auto host_to_host = dijkstra(g, hd, hs, w);
+  ASSERT_TRUE(host_to_host.has_value());
+  EXPECT_EQ(host_to_host->hops(), 3);
+  std::vector<bool> fabric_cut(static_cast<std::size_t>(g.num_links()));
+  fabric_cut[static_cast<std::size_t>(direct.v)] = true;
+  fabric_cut[static_cast<std::size_t>(direct.v ^ 1)] = true;
+  const auto adjacent = dijkstra(g, hs, hd, w, fabric_cut);
+  ASSERT_TRUE(adjacent.has_value());
+  EXPECT_EQ(adjacent->links, std::vector<LinkId>{hs_hd});
+
+  // A banned destination has no path, host or not.
+  std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
+  banned_nodes[static_cast<std::size_t>(hd.v)] = true;
+  EXPECT_FALSE(dijkstra(g, hs, hd, w, {}, banned_nodes).has_value());
+  banned_nodes[static_cast<std::size_t>(hd.v)] = false;
+  banned_nodes[static_cast<std::size_t>(s2.v)] = true;
+  EXPECT_FALSE(dijkstra(g, s1, s2, w, {}, banned_nodes).has_value());
+}
+
+TEST(Dijkstra, ReusedWorkspaceMatchesFreshSearches) {
+  topo::JellyfishConfig config;
+  config.num_switches = 12;
+  config.network_degree = 3;
+  config.hosts_per_switch = 2;
+  const auto jf = build_jellyfish(config);
+  const Graph& g = jf.graph;
+  const LinkWeights w = jittered_unit_weights(g, 9);
+  Rng rng(3);
+  SearchWorkspace ws;
+  for (int i = 0; i < 50; ++i) {
+    const NodeId src = jf.host_nodes[rng.next_below(jf.host_nodes.size())];
+    const NodeId dst = jf.host_nodes[rng.next_below(jf.host_nodes.size())];
+    std::vector<bool> banned_nodes(static_cast<std::size_t>(g.num_nodes()));
+    banned_nodes[static_cast<std::size_t>(
+        jf.switch_nodes[rng.next_below(jf.switch_nodes.size())].v)] = true;
+    const auto fresh = reference::dijkstra(g, src, dst, w, {}, banned_nodes);
+    const auto reused = dijkstra(g, src, dst, w.data(), {}, banned_nodes, ws);
+    ASSERT_EQ(fresh.has_value(), reused.has_value()) << "search " << i;
+    if (fresh) {
+      EXPECT_EQ(fresh->links, reused->links) << "search " << i;
+    }
+  }
+}
+
 TEST(Yen, DiamondEnumeratesAllPathsInOrder) {
   std::vector<NodeId> n;
   const Graph g = diamond(n);
@@ -189,6 +483,153 @@ TEST_P(YenVsBruteForce, MatchesOnRandomJellyfish) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, YenVsBruteForce,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+
+/// (plane, link ids) per path: what gtest prints when two path lists
+/// differ.
+std::vector<std::pair<int, std::vector<std::int32_t>>> link_sequences(
+    const std::vector<Path>& paths) {
+  std::vector<std::pair<int, std::vector<std::int32_t>>> out;
+  for (const Path& p : paths) {
+    std::vector<std::int32_t> ids;
+    for (const LinkId id : p.links) ids.push_back(id.v);
+    out.emplace_back(p.plane, std::move(ids));
+  }
+  return out;
+}
+
+/// Bans both directions of about `percent`% of the cables, drawn from `rng`.
+std::vector<bool> random_cable_bans(const Graph& g, Rng& rng, int percent) {
+  std::vector<bool> banned(static_cast<std::size_t>(g.num_links()), false);
+  for (int l = 0; l < g.num_links(); l += 2) {
+    if (rng.next_below(100) < static_cast<std::uint64_t>(percent)) {
+      banned[static_cast<std::size_t>(l)] = true;
+      banned[static_cast<std::size_t>(l + 1)] = true;
+    }
+  }
+  return banned;
+}
+
+struct ReferenceFabric {
+  std::string name;
+  Graph graph;
+  std::vector<NodeId> hosts;
+};
+
+/// Small Jellyfish, fat-tree and Xpander planes: big enough for many
+/// equal-hop ties and K = 12 distinct paths, small enough to sweep fast.
+std::vector<ReferenceFabric> reference_fabrics() {
+  std::vector<ReferenceFabric> out;
+  {
+    topo::JellyfishConfig config;
+    config.num_switches = 16;
+    config.network_degree = 4;
+    config.hosts_per_switch = 2;
+    config.seed = 5;
+    auto jf = topo::build_jellyfish(config);
+    out.push_back({"jellyfish", std::move(jf.graph), jf.host_nodes});
+  }
+  {
+    topo::FatTreeConfig config;
+    config.k = 4;
+    auto ft = topo::build_fat_tree(config);
+    out.push_back({"fat_tree", std::move(ft.graph), ft.host_nodes});
+  }
+  {
+    topo::XpanderConfig config;
+    config.network_degree = 3;
+    config.lift = 4;
+    config.hosts_per_switch = 2;
+    config.seed = 7;
+    auto xp = topo::build_xpander(config);
+    out.push_back({"xpander", std::move(xp.graph), xp.host_nodes});
+  }
+  return out;
+}
+
+TEST(YenReference, SamePathsInSameOrderAsReference) {
+  Rng rng(2024);
+  int compared = 0;
+  for (const ReferenceFabric& f : reference_fabrics()) {
+    const Graph& g = f.graph;
+    const auto hosts = static_cast<std::uint64_t>(f.hosts.size());
+    for (const bool jittered : {false, true}) {
+      const LinkWeights jitter = jittered_unit_weights(g, rng.next_u64());
+      const LinkWeights* weights = jittered ? &jitter : nullptr;
+      for (const bool with_bans : {false, true}) {
+        std::vector<bool> bans;
+        if (with_bans) {
+          bans = random_cable_bans(g, rng, 10);
+          // Cut the last host off entirely: a disconnected pair.
+          for (const LinkId id : g.out_links(f.hosts.back())) {
+            bans[static_cast<std::size_t>(id.v)] = true;
+            bans[static_cast<std::size_t>(id.v ^ 1)] = true;
+          }
+        }
+        const std::vector<bool>* base = with_bans ? &bans : nullptr;
+        std::vector<std::pair<NodeId, NodeId>> pairs = {
+            {f.hosts.front(), f.hosts.front()},  // src == dst
+            {f.hosts.front(), f.hosts.back()},
+        };
+        for (int i = 0; i < 10; ++i) {
+          pairs.emplace_back(f.hosts[rng.next_below(hosts)],
+                             f.hosts[rng.next_below(hosts)]);
+        }
+        for (const auto& [src, dst] : pairs) {
+          for (int k = 1; k <= 12; ++k) {
+            const auto expect =
+                reference::k_shortest_paths(g, src, dst, k, weights, base);
+            const auto got = k_shortest_paths(g, src, dst, k, weights, base);
+            ASSERT_EQ(link_sequences(got), link_sequences(expect))
+                << f.name << " jittered=" << jittered
+                << " bans=" << with_bans << " src=" << src.v
+                << " dst=" << dst.v << " k=" << k;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 3 * 2 * 2 * 12 * 12);
+}
+
+TEST(YenReference, KspAcrossPlanesMatchesReference) {
+  Rng rng(77);
+  for (const auto kind : {topo::TopoKind::kJellyfish, topo::TopoKind::kFatTree,
+                          topo::TopoKind::kXpander}) {
+    topo::NetworkSpec spec;
+    spec.topo = kind;
+    spec.type = topo::NetworkType::kParallelHeterogeneous;
+    spec.hosts = 32;
+    spec.parallelism = 3;
+    spec.seed = 11;
+    const auto net = build_network(spec);
+    const auto hosts = static_cast<std::uint64_t>(net.num_hosts());
+    PlaneBans bans(static_cast<std::size_t>(net.num_planes()));
+    for (int p = 0; p < net.num_planes(); ++p) {
+      bans[static_cast<std::size_t>(p)] =
+          random_cable_bans(net.plane(p).graph, rng, 8);
+    }
+    for (int i = 0; i < 6; ++i) {
+      const HostId src{static_cast<std::int32_t>(rng.next_below(hosts))};
+      const HostId dst{static_cast<std::int32_t>(rng.next_below(hosts))};
+      const std::uint64_t seed = i % 3 == 0 ? 0 : mix64(rng.next_u64());
+      for (const int k : {1, 4, 8}) {
+        for (const PlaneBans* b : {static_cast<const PlaneBans*>(nullptr),
+                                   static_cast<const PlaneBans*>(&bans)}) {
+          const int cap = k * net.num_planes();
+          EXPECT_EQ(
+              link_sequences(ksp_across_planes(net, src, dst, k, seed, cap, b)),
+              link_sequences(
+                  reference::ksp_across_planes(net, src, dst, k, seed, cap, b)))
+              << "topo=" << static_cast<int>(kind) << " src=" << src.v
+              << " dst=" << dst.v << " k=" << k << " seed=" << seed
+              << " bans=" << (b != nullptr);
+        }
+      }
+    }
+  }
+}
 
 TEST(Ecmp, FatTreeInterPodPathCount) {
   topo::FatTreeConfig config;
