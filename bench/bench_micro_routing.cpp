@@ -218,6 +218,12 @@ std::string compiler_id() {
 }
 
 int run_json_report(const Flags& flags) {
+  flags.handle_usage(
+      "report mode (--json[=PATH], default stdout):\n"
+      "  --hosts=N         Jellyfish hosts per fabric (default 192)\n"
+      "  --pairs=N         route_cache lookup pairs (default 512)\n"
+      "  --repeat=N        ksp_cold passes, best kept (default 3)\n"
+      "  --commit=SHA      provenance commit (default unknown)\n");
   const std::string path = flags.get("json", "-");
   const int hosts = flags.get_int("hosts", 192);
   const int pairs = flags.get_int("pairs", 512);

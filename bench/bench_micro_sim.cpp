@@ -201,6 +201,15 @@ SimRun run_permutation(int hosts, int planes, std::uint64_t bytes,
 }
 
 int run_json_report(const Flags& flags) {
+  flags.handle_usage(
+      "report mode (--json[=PATH], default stdout):\n"
+      "  --hosts=N         packet_sim hosts (default 16)\n"
+      "  --planes=N        packet_sim planes (default 2)\n"
+      "  --bytes=N         packet_sim flow bytes (default 2000000)\n"
+      "  --repeat=N        timed passes per row (default 3)\n"
+      "  --mt-hosts=N      packet_sim_mt hosts (default 32)\n"
+      "  --mt-planes=N     packet_sim_mt planes (default 8)\n"
+      "  --mt-bytes=N      packet_sim_mt flow bytes (default 2000000)\n");
   const std::string path = flags.get("json", "-");
   const int hosts = flags.get_int("hosts", 16);
   const int planes = flags.get_int("planes", 2);

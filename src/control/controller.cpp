@@ -8,44 +8,11 @@ namespace pnet::control {
 
 namespace {
 
-struct ModeName {
-  ControllerMode mode;
-  const char* name;
-};
-constexpr ModeName kModeTable[] = {
-    {ControllerMode::kOff, "off"},
-    {ControllerMode::kHostLocal, "host-local"},
-    {ControllerMode::kCentralized, "centralized"},
-};
-
 /// Load floor in the inverse-load weight: keeps an idle plane's weight
 /// finite and bounds the bias ratio between planes.
 constexpr double kLoadFloorBps = 1e6;
 
 }  // namespace
-
-const char* to_string(ControllerMode mode) {
-  for (const ModeName& entry : kModeTable) {
-    if (entry.mode == mode) return entry.name;
-  }
-  return "?";
-}
-
-std::optional<ControllerMode> mode_from_string(std::string_view name) {
-  for (const ModeName& entry : kModeTable) {
-    if (entry.name == name) return entry.mode;
-  }
-  return std::nullopt;
-}
-
-std::string mode_names() {
-  std::string out;
-  for (const ModeName& entry : kModeTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
 
 std::string ControllerConfig::validate() const {
   if (!active()) return "";

@@ -26,6 +26,7 @@
 
 #include "sim/faults.hpp"
 #include "telemetry/sampler.hpp"
+#include "util/names.hpp"
 #include "util/units.hpp"
 
 namespace pnet::control {
@@ -43,12 +44,23 @@ enum class ControllerMode : std::uint8_t {
   kCentralized,
 };
 
-[[nodiscard]] const char* to_string(ControllerMode mode);
-/// Registry mirror of core::policy_from_string: unknown names return
-/// nullopt, callers fail fast listing mode_names().
-[[nodiscard]] std::optional<ControllerMode> mode_from_string(
-    std::string_view name);
-[[nodiscard]] std::string mode_names();
+inline constexpr util::EnumName<ControllerMode> kModeNames[] = {
+    {ControllerMode::kOff, "off"},
+    {ControllerMode::kHostLocal, "host-local"},
+    {ControllerMode::kCentralized, "centralized"},
+};
+
+[[nodiscard]] inline const char* to_string(ControllerMode mode) {
+  return util::name_of(kModeNames, mode);
+}
+/// Unknown names return nullopt; callers fail fast listing mode_names().
+[[nodiscard]] inline std::optional<ControllerMode> mode_from_string(
+    std::string_view name) {
+  return util::value_of(kModeNames, name);
+}
+[[nodiscard]] inline std::string mode_names() {
+  return util::names_of(kModeNames);
+}
 
 struct ControllerConfig {
   ControllerMode mode = ControllerMode::kOff;

@@ -7,47 +7,6 @@
 
 namespace pnet::core {
 
-namespace {
-
-// The one policy-name table: to_string and policy_from_string both walk it,
-// so the round-trip cannot drift when a policy is added.
-struct PolicyName {
-  RoutingPolicy policy;
-  std::string_view name;
-};
-constexpr PolicyName kPolicyTable[] = {
-    {RoutingPolicy::kEcmp, "ecmp"},
-    {RoutingPolicy::kRoundRobin, "round-robin"},
-    {RoutingPolicy::kShortestPlane, "shortest-plane"},
-    {RoutingPolicy::kKspMultipath, "ksp-multipath"},
-    {RoutingPolicy::kSizeThreshold, "size-threshold"},
-};
-
-}  // namespace
-
-std::string to_string(RoutingPolicy policy) {
-  for (const PolicyName& entry : kPolicyTable) {
-    if (entry.policy == policy) return std::string(entry.name);
-  }
-  return "?";
-}
-
-std::optional<RoutingPolicy> policy_from_string(std::string_view name) {
-  for (const PolicyName& entry : kPolicyTable) {
-    if (entry.name == name) return entry.policy;
-  }
-  return std::nullopt;
-}
-
-std::string policy_names() {
-  std::string out;
-  for (const PolicyName& entry : kPolicyTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
-
 PathSelector::PathSelector(const topo::ParallelNetwork& net,
                            PolicyConfig config,
                            std::shared_ptr<routing::RouteCache> cache)

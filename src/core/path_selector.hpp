@@ -28,6 +28,7 @@
 #include "routing/route_cache.hpp"
 #include "sim/network.hpp"
 #include "topo/parallel.hpp"
+#include "util/names.hpp"
 #include "workload/apps.hpp"
 
 namespace pnet::core {
@@ -40,16 +41,28 @@ enum class RoutingPolicy : std::uint8_t {
   kSizeThreshold,
 };
 
-[[nodiscard]] std::string to_string(RoutingPolicy policy);
+/// The policy-name registry, shared by every bench/config surface and the
+/// spec codec so policies are named identically everywhere.
+inline constexpr util::EnumName<RoutingPolicy> kPolicyNames[] = {
+    {RoutingPolicy::kEcmp, "ecmp"},
+    {RoutingPolicy::kRoundRobin, "round-robin"},
+    {RoutingPolicy::kShortestPlane, "shortest-plane"},
+    {RoutingPolicy::kKspMultipath, "ksp-multipath"},
+    {RoutingPolicy::kSizeThreshold, "size-threshold"},
+};
 
-/// String-keyed policy registry, shared by every bench/config surface so
-/// ablations name policies identically everywhere. `to_string` and
-/// `policy_from_string` round-trip over the same table; unknown names
-/// return nullopt (callers fail fast listing policy_names()).
-[[nodiscard]] std::optional<RoutingPolicy> policy_from_string(
-    std::string_view name);
+[[nodiscard]] inline std::string to_string(RoutingPolicy policy) {
+  return util::name_of(kPolicyNames, policy);
+}
+/// Unknown names return nullopt (callers fail fast listing policy_names()).
+[[nodiscard]] inline std::optional<RoutingPolicy> policy_from_string(
+    std::string_view name) {
+  return util::value_of(kPolicyNames, name);
+}
 /// Every registered policy name, in enum order ("ecmp round-robin ...").
-[[nodiscard]] std::string policy_names();
+[[nodiscard]] inline std::string policy_names() {
+  return util::names_of(kPolicyNames);
+}
 
 struct PolicyConfig {
   RoutingPolicy policy = RoutingPolicy::kRoundRobin;

@@ -50,10 +50,6 @@ class Checkpoint {
   Checkpoint(const Checkpoint&) = delete;
   Checkpoint& operator=(const Checkpoint&) = delete;
 
-  /// The journal key: ExperimentSpec::hash(). Kept as a named alias so
-  /// journal-key call sites read as checkpoint code.
-  [[nodiscard]] static std::uint64_t hash_spec(const ExperimentSpec& spec);
-
   /// The journaled result for (spec_hash, trial), or nullptr. Stable for
   /// the checkpoint's lifetime (the loaded map is never mutated).
   [[nodiscard]] const TrialResult* find(std::uint64_t spec_hash,

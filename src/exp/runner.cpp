@@ -94,7 +94,7 @@ std::vector<CellResult> Runner::run(const std::vector<Cell>& queued) const {
   if (!checkpoint_.empty()) {
     checkpoint = std::make_unique<Checkpoint>(checkpoint_);
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      spec_hashes[c] = Checkpoint::hash_spec(cells[c].spec);
+      spec_hashes[c] = cells[c].spec.hash();
     }
   }
 

@@ -20,6 +20,7 @@
 #include "fsim/fluid.hpp"
 #include "sim/network.hpp"
 #include "topo/parallel.hpp"
+#include "util/names.hpp"
 #include "util/units.hpp"
 
 namespace pnet::exp {
@@ -35,12 +36,23 @@ namespace pnet::exp {
 ///             assembly.
 enum class EngineKind : std::uint8_t { kPacket, kFsim, kCustom };
 
-[[nodiscard]] const char* to_string(EngineKind engine);
-/// Registry mirror of core::policy_from_string: unknown names return
-/// nullopt, callers fail fast listing engine_names().
-[[nodiscard]] std::optional<EngineKind> engine_from_string(
-    std::string_view name);
-[[nodiscard]] std::string engine_names();
+inline constexpr util::EnumName<EngineKind> kEngineNames[] = {
+    {EngineKind::kPacket, "packet"},
+    {EngineKind::kFsim, "fsim"},
+    {EngineKind::kCustom, "custom"},
+};
+
+[[nodiscard]] inline const char* to_string(EngineKind engine) {
+  return util::name_of(kEngineNames, engine);
+}
+/// Unknown names return nullopt; callers fail fast listing engine_names().
+[[nodiscard]] inline std::optional<EngineKind> engine_from_string(
+    std::string_view name) {
+  return util::value_of(kEngineNames, name);
+}
+[[nodiscard]] inline std::string engine_names() {
+  return util::names_of(kEngineNames);
+}
 
 /// Synthetic workload of the built-in packet/fsim engines: `rounds`
 /// pattern instances of fixed-size flows, each flow jittered uniformly in
@@ -61,7 +73,15 @@ struct WorkloadSpec {
   SimTime round_gap = 0;
 };
 
-[[nodiscard]] const char* to_string(WorkloadSpec::Pattern pattern);
+inline constexpr util::EnumName<WorkloadSpec::Pattern> kPatternNames[] = {
+    {WorkloadSpec::Pattern::kPermutation, "permutation"},
+    {WorkloadSpec::Pattern::kAllToAll, "all_to_all"},
+    {WorkloadSpec::Pattern::kRackAllToAll, "rack_all_to_all"},
+};
+
+[[nodiscard]] inline const char* to_string(WorkloadSpec::Pattern pattern) {
+  return util::name_of(kPatternNames, pattern);
+}
 
 struct ExperimentSpec {
   /// Cell label: names the row/series in tables and the JSON report.
@@ -89,7 +109,9 @@ struct ExperimentSpec {
   /// first problem found.
   [[nodiscard]] std::string validate() const;
 
-  /// Serializes the spec (deterministically) into an open JSON object.
+  /// Serializes the spec (deterministically) as one JSON object. The
+  /// field table in spec.cpp fixes every wire name, codec and omission
+  /// rule; decode_spec reads the same table back.
   void to_json(JsonWriter& w) const;
 
   /// The spec's canonical form: to_json rendered standalone. Two specs are
@@ -104,6 +126,22 @@ struct ExperimentSpec {
   /// short of a 64-bit collision.
   [[nodiscard]] std::uint64_t hash() const;
 };
+
+/// Decodes a spec object in exactly the shape to_json writes onto `spec`:
+/// members present overwrite their field, absent ones keep its value, and
+/// decode_spec(parse(canonical_json())) reproduces the canonical bytes.
+/// Strict: an unknown member, a wrong JSON type, a non-integral or
+/// out-of-range integer, an unknown enum name, or a time past 2^51 ps is
+/// an error naming the field path ("unknown field 'topo.hosst'",
+/// "topo.hosts must be an integer"). Returns false and fills `error` on
+/// the first one; `spec` is then partly decoded. Does not run validate().
+[[nodiscard]] bool decode_spec(const JsonValue& json, ExperimentSpec& spec,
+                               std::string& error);
+
+/// The spec's `topo` object as canonical_json() writes it, standalone: the
+/// identity of a built topology (pnet-serve keys its warm route caches by
+/// it).
+[[nodiscard]] std::string topo_json(const topo::NetworkSpec& topo);
 
 /// FNV-1a 64 — the repository's canonical content hash (checkpoint keys,
 /// serve cache keys, warm route-cache keys all use it over canonical JSON).

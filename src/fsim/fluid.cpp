@@ -22,49 +22,6 @@ struct PendingLater {
   }
 };
 
-}  // namespace
-
-namespace {
-
-// One scheme-name table: to_string and scheme_from_string round-trip over
-// it (mirrors core::kPolicyTable).
-struct SchemeName {
-  RouteScheme scheme;
-  const char* name;
-};
-constexpr SchemeName kSchemeTable[] = {
-    {RouteScheme::kEcmpPlaneHash, "ecmp"},
-    {RouteScheme::kShortestPlane, "shortest-plane"},
-    {RouteScheme::kKspMultipath, "ksp-multipath"},
-};
-
-}  // namespace
-
-const char* to_string(RouteScheme scheme) {
-  for (const SchemeName& entry : kSchemeTable) {
-    if (entry.scheme == scheme) return entry.name;
-  }
-  return "?";
-}
-
-std::optional<RouteScheme> scheme_from_string(std::string_view name) {
-  for (const SchemeName& entry : kSchemeTable) {
-    if (entry.name == name) return entry.scheme;
-  }
-  return std::nullopt;
-}
-
-std::string scheme_names() {
-  std::string out;
-  for (const SchemeName& entry : kSchemeTable) {
-    if (!out.empty()) out += ' ';
-    out += entry.name;
-  }
-  return out;
-}
-
-namespace {
-
 /// KSP tie-break jitter seed: per PAIR, not per flow, so the cache can
 /// memoize the candidate pool (matching core::PathSelector's convention).
 std::uint64_t ksp_seed(HostId src, HostId dst) {

@@ -35,6 +35,7 @@
 #include "routing/route_cache.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topo/parallel.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -55,15 +56,26 @@ enum class RouteScheme : std::uint8_t {
   kKspMultipath,
 };
 
-[[nodiscard]] const char* to_string(RouteScheme scheme);
+/// The scheme-name registry, so benches and controller ablation configs
+/// name fluid schemes identically.
+inline constexpr util::EnumName<RouteScheme> kSchemeNames[] = {
+    {RouteScheme::kEcmpPlaneHash, "ecmp"},
+    {RouteScheme::kShortestPlane, "shortest-plane"},
+    {RouteScheme::kKspMultipath, "ksp-multipath"},
+};
 
-/// String-keyed scheme registry mirroring core::policy_from_string, so
-/// benches and controller ablation configs name fluid schemes identically.
+[[nodiscard]] inline const char* to_string(RouteScheme scheme) {
+  return util::name_of(kSchemeNames, scheme);
+}
 /// Unknown names return nullopt; callers fail fast listing scheme_names().
-[[nodiscard]] std::optional<RouteScheme> scheme_from_string(
-    std::string_view name);
+[[nodiscard]] inline std::optional<RouteScheme> scheme_from_string(
+    std::string_view name) {
+  return util::value_of(kSchemeNames, name);
+}
 /// Every registered scheme name, in enum order.
-[[nodiscard]] std::string scheme_names();
+[[nodiscard]] inline std::string scheme_names() {
+  return util::names_of(kSchemeNames);
+}
 
 struct FsimConfig {
   RouteScheme scheme = RouteScheme::kEcmpPlaneHash;

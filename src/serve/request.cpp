@@ -1,357 +1,71 @@
 #include "serve/request.hpp"
 
-#include <cmath>
-#include <functional>
+#include <algorithm>
+#include <utility>
 
 namespace pnet::serve {
 
 namespace {
 
-/// Largest double that still holds every integer exactly: integer fields
-/// beyond 2^53 would silently lose precision in the double-typed parse
-/// tree, so they are rejected as out of range instead.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-struct Decoder {
-  RequestError* error;
-
-  bool fail(const std::string& message) {
-    error->code = kErrInvalidSpec;
-    error->message = message;
-    error->retryable = false;
-    return false;
-  }
-
-  bool integral(const JsonValue& v, const std::string& where, double lo,
-                double hi, double& out) {
-    if (!v.is_number()) return fail(where + " must be a number");
-    if (v.number != std::floor(v.number)) {
-      return fail(where + " must be an integer");
-    }
-    if (v.number < lo || v.number > hi) {
-      return fail(where + " out of range");
-    }
-    out = v.number;
-    return true;
-  }
-
-  bool get_int(const JsonValue& v, const std::string& where, int& out) {
-    double d = 0.0;
-    if (!integral(v, where, -2147483648.0, 2147483647.0, d)) return false;
-    out = static_cast<int>(d);
-    return true;
-  }
-
-  bool get_u64(const JsonValue& v, const std::string& where,
-               std::uint64_t& out) {
-    double d = 0.0;
-    if (!integral(v, where, 0.0, kMaxExactInteger, d)) return false;
-    out = static_cast<std::uint64_t>(d);
-    return true;
-  }
-
-  /// Times ride the wire as microseconds (the to_json convention) and are
-  /// stored as integer picoseconds.
-  bool get_us(const JsonValue& v, const std::string& where, SimTime& out) {
-    if (!v.is_number()) return fail(where + " must be a number");
-    const double ps = v.number * static_cast<double>(units::kMicrosecond);
-    if (ps < 0.0 || ps > kMaxExactInteger) {
-      return fail(where + " out of range");
-    }
-    out = static_cast<SimTime>(std::llround(ps));
-    return true;
-  }
-
-  bool get_bool(const JsonValue& v, const std::string& where, bool& out) {
-    if (!v.is_bool()) return fail(where + " must be a boolean");
-    out = v.boolean;
-    return true;
-  }
-
-  bool get_string(const JsonValue& v, const std::string& where,
-                  std::string& out) {
-    if (!v.is_string()) return fail(where + " must be a string");
-    out = v.text;
-    return true;
-  }
-
-  /// Walks an object's members through `field`, rejecting any key the
-  /// dispatcher does not recognize — the strictness backbone.
-  bool object(const JsonValue& v, const std::string& where,
-              const std::function<bool(const std::string&,
-                                       const JsonValue&)>& field,
-              bool& known) {
-    if (!v.is_object()) return fail(where + " must be an object");
-    for (const auto& [key, value] : v.members) {
-      known = false;
-      if (!field(key, value)) return false;
-      if (!known) {
-        return fail("unknown field '" + where + "." + key + "'");
-      }
-    }
-    return true;
-  }
-
-  bool decode_engine(const JsonValue& v, exp::EngineKind& out) {
-    std::string s;
-    if (!get_string(v, "engine", s)) return false;
-    if (s == "packet") { out = exp::EngineKind::kPacket; return true; }
-    if (s == "fsim") { out = exp::EngineKind::kFsim; return true; }
-    if (s == "custom") {
-      return fail("engine 'custom' needs an in-process trial function and "
-                  "cannot be served");
-    }
-    return fail("engine must be 'packet' or 'fsim', got '" + s + "'");
-  }
-
-  bool decode_topo_kind(const JsonValue& v, topo::TopoKind& out) {
-    std::string s;
-    if (!get_string(v, "topo.kind", s)) return false;
-    if (s == "fat-tree") { out = topo::TopoKind::kFatTree; return true; }
-    if (s == "jellyfish") { out = topo::TopoKind::kJellyfish; return true; }
-    if (s == "xpander") { out = topo::TopoKind::kXpander; return true; }
-    return fail("topo.kind must be 'fat-tree', 'jellyfish' or 'xpander', "
-                "got '" + s + "'");
-  }
-
-  bool decode_net_type(const JsonValue& v, topo::NetworkType& out) {
-    std::string s;
-    if (!get_string(v, "topo.type", s)) return false;
-    if (s == "serial-low-bw") { out = topo::NetworkType::kSerialLow; return true; }
-    if (s == "parallel-homogeneous") {
-      out = topo::NetworkType::kParallelHomogeneous;
-      return true;
-    }
-    if (s == "parallel-heterogeneous") {
-      out = topo::NetworkType::kParallelHeterogeneous;
-      return true;
-    }
-    if (s == "serial-high-bw") { out = topo::NetworkType::kSerialHigh; return true; }
-    return fail("unknown topo.type '" + s + "'");
-  }
-
-  bool decode_policy_kind(const JsonValue& v, core::RoutingPolicy& out) {
-    std::string s;
-    if (!get_string(v, "policy.policy", s)) return false;
-    if (s == "ecmp") { out = core::RoutingPolicy::kEcmp; return true; }
-    if (s == "round-robin") { out = core::RoutingPolicy::kRoundRobin; return true; }
-    if (s == "shortest-plane") {
-      out = core::RoutingPolicy::kShortestPlane;
-      return true;
-    }
-    if (s == "ksp-multipath") {
-      out = core::RoutingPolicy::kKspMultipath;
-      return true;
-    }
-    if (s == "size-threshold") {
-      out = core::RoutingPolicy::kSizeThreshold;
-      return true;
-    }
-    return fail("unknown policy.policy '" + s + "'");
-  }
-
-  bool decode_pattern(const JsonValue& v, exp::WorkloadSpec::Pattern& out) {
-    std::string s;
-    if (!get_string(v, "workload.pattern", s)) return false;
-    if (s == "permutation") {
-      out = exp::WorkloadSpec::Pattern::kPermutation;
-      return true;
-    }
-    if (s == "all_to_all") {
-      out = exp::WorkloadSpec::Pattern::kAllToAll;
-      return true;
-    }
-    if (s == "rack_all_to_all") {
-      out = exp::WorkloadSpec::Pattern::kRackAllToAll;
-      return true;
-    }
-    return fail("unknown workload.pattern '" + s + "'");
-  }
-
-  bool decode_topo(const JsonValue& v, topo::NetworkSpec& topo) {
-    bool k = false;
-    return object(
-        v, "topo",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "kind") return decode_topo_kind(value, topo.topo);
-          if (key == "type") return decode_net_type(value, topo.type);
-          if (key == "hosts") return get_int(value, "topo.hosts", topo.hosts);
-          if (key == "parallelism") {
-            return get_int(value, "topo.parallelism", topo.parallelism);
-          }
-          if (key == "base_rate_gbps") {
-            if (!value.is_number()) {
-              return fail("topo.base_rate_gbps must be a number");
-            }
-            topo.base_rate_bps = value.number * units::kGbps;
-            return true;
-          }
-          if (key == "seed") return get_u64(value, "topo.seed", topo.seed);
-          if (key == "jf_switches") {
-            return get_int(value, "topo.jf_switches", topo.jf_switches);
-          }
-          if (key == "jf_degree") {
-            return get_int(value, "topo.jf_degree", topo.jf_degree);
-          }
-          if (key == "jf_hosts_per_switch") {
-            return get_int(value, "topo.jf_hosts_per_switch",
-                           topo.jf_hosts_per_switch);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_policy(const JsonValue& v, core::PolicyConfig& policy) {
-    bool k = false;
-    return object(
-        v, "policy",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "policy") return decode_policy_kind(value, policy.policy);
-          if (key == "k") return get_int(value, "policy.k", policy.k);
-          if (key == "ecmp_path_cap") {
-            return get_int(value, "policy.ecmp_path_cap",
-                           policy.ecmp_path_cap);
-          }
-          if (key == "multipath_cutoff_bytes") {
-            return get_u64(value, "policy.multipath_cutoff_bytes",
-                           policy.multipath_cutoff_bytes);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_workload(const JsonValue& v, exp::WorkloadSpec& wl) {
-    bool k = false;
-    return object(
-        v, "workload",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "pattern") return decode_pattern(value, wl.pattern);
-          if (key == "flow_bytes") {
-            return get_u64(value, "workload.flow_bytes", wl.flow_bytes);
-          }
-          if (key == "rounds") {
-            return get_int(value, "workload.rounds", wl.rounds);
-          }
-          if (key == "start_jitter_us") {
-            return get_us(value, "workload.start_jitter_us",
-                          wl.start_jitter);
-          }
-          if (key == "round_gap_us") {
-            return get_us(value, "workload.round_gap_us", wl.round_gap);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode_sim(const JsonValue& v, sim::SimConfig& sim) {
-    bool k = false;
-    return object(
-        v, "sim",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "queue_buffer_bytes") {
-            return get_u64(value, "sim.queue_buffer_bytes",
-                           sim.queue_buffer_bytes);
-          }
-          if (key == "ecn_threshold_bytes") {
-            return get_u64(value, "sim.ecn_threshold_bytes",
-                           sim.ecn_threshold_bytes);
-          }
-          if (key == "priority_acks") {
-            return get_bool(value, "sim.priority_acks", sim.priority_acks);
-          }
-          if (key == "trim_to_header") {
-            return get_bool(value, "sim.trim_to_header", sim.trim_to_header);
-          }
-          if (key == "dctcp") {
-            return get_bool(value, "sim.dctcp", sim.tcp.dctcp);
-          }
-          k = false;
-          return true;
-        },
-        k);
-  }
-
-  bool decode(const JsonValue& root, Request& out) {
-    if (!root.is_object()) {
-      return fail("request must be a JSON object");
-    }
-    if (const JsonValue* stats = root.find("stats"); stats != nullptr) {
-      bool want = false;
-      if (!get_bool(*stats, "stats", want)) return false;
-      if (!want) return fail("stats must be true when present");
-      if (root.members.size() != 1) {
-        return fail("a stats request carries no other fields");
-      }
-      out.kind = Request::Kind::kStats;
-      return true;
-    }
-    out.kind = Request::Kind::kRun;
-    bool k = false;
-    const bool ok = object(
-        root, "spec",
-        [&](const std::string& key, const JsonValue& value) {
-          k = true;
-          if (key == "name") {
-            return get_string(value, "name", out.spec.name);
-          }
-          if (key == "engine") return decode_engine(value, out.spec.engine);
-          if (key == "seed") return get_u64(value, "seed", out.spec.seed);
-          if (key == "trials") {
-            return get_int(value, "trials", out.spec.trials);
-          }
-          if (key == "deadline_us") {
-            return get_us(value, "deadline_us", out.spec.deadline);
-          }
-          if (key == "topo") return decode_topo(value, out.spec.topo);
-          if (key == "policy") return decode_policy(value, out.spec.policy);
-          if (key == "workload") {
-            return decode_workload(value, out.spec.workload);
-          }
-          if (key == "sim") return decode_sim(value, out.spec.sim);
-          if (key == "deadline_ms") {
-            if (!value.is_number() || value.number < 0.0) {
-              return fail("deadline_ms must be a non-negative number");
-            }
-            out.deadline_ms = value.number;
-            return true;
-          }
-          k = false;
-          return true;
-        },
-        k);
-    if (!ok) return false;
-    if (out.spec.name.empty()) {
-      return fail("request is missing the required 'name' field");
-    }
-    return true;
-  }
-};
+bool invalid(RequestError& error, std::string message) {
+  error.code = kErrInvalidSpec;
+  error.message = std::move(message);
+  error.retryable = false;
+  return false;
+}
 
 }  // namespace
 
 bool decode_request(std::string_view line, Request& out, RequestError& error,
-                    const ParseLimits& limits) {
-  JsonValue root;
-  std::string parse_error;
-  if (!parse_json(line, root, parse_error, limits)) {
+                    const exp::ParseLimits& limits) {
+  exp::JsonValue root;
+  std::string message;
+  if (!exp::parse_json(line, root, message, limits)) {
     error.code = kErrParse;
-    error.message = parse_error;
+    error.message = message;
     error.retryable = false;
     return false;
   }
   out = Request{};
-  Decoder decoder{&error};
-  return decoder.decode(root, out);
+  if (!root.is_object()) return invalid(error, "request must be a JSON object");
+  if (const exp::JsonValue* stats = root.find("stats"); stats != nullptr) {
+    if (!stats->is_bool()) return invalid(error, "stats must be a boolean");
+    if (!stats->boolean) {
+      return invalid(error, "stats must be true when present");
+    }
+    if (root.members.size() != 1) {
+      return invalid(error, "a stats request carries no other fields");
+    }
+    out.kind = Request::Kind::kStats;
+    return true;
+  }
+  // deadline_ms belongs to the request, not the spec: take it out before
+  // the rest of the object decodes as a spec.
+  auto& members = root.members;
+  const auto deadline = std::find_if(
+      members.begin(), members.end(),
+      [](const auto& member) { return member.first == "deadline_ms"; });
+  if (deadline != members.end()) {
+    const exp::JsonValue& value = deadline->second;
+    if (!value.is_number() || value.number < 0.0) {
+      return invalid(error, "deadline_ms must be a non-negative number");
+    }
+    out.deadline_ms = value.number;
+    members.erase(deadline);
+  }
+  if (!exp::decode_spec(root, out.spec, message)) {
+    return invalid(error, message);
+  }
+  if (out.spec.engine == exp::EngineKind::kCustom) {
+    return invalid(error, std::string("engine '") +
+                              exp::to_string(exp::EngineKind::kCustom) +
+                              "' needs an in-process trial function and "
+                              "cannot be served");
+  }
+  if (out.spec.name.empty()) {
+    return invalid(error, "request is missing the required 'name' field");
+  }
+  return true;
 }
 
 }  // namespace pnet::serve

@@ -10,20 +10,21 @@
 //                                  blown budget returns a structured
 //                                  timeout error.
 //
-// Decoding is strict: unknown fields anywhere are rejected (a misspelled
-// knob must never silently fall back to its default — the Flags philosophy
-// applied to the wire), enum strings must match their to_string forms,
-// integer fields must hold integral in-range numbers, and the underlying
-// parser already guarantees finiteness and bounded size. Every rejection
-// is a RequestError that the service serializes as the {"ok":false,...}
-// reply.
+// This file holds only that envelope. The spec itself decodes through
+// exp::decode_spec, which reads the same field table as to_json and is
+// strict: unknown fields anywhere are rejected (a misspelled knob must
+// never silently fall back to its default — the Flags philosophy applied
+// to the wire), enum strings must match their registry names, integer
+// fields must hold integral in-range numbers, and the underlying parser
+// (exp/json) already guarantees finiteness and bounded size. Every
+// rejection is a RequestError that the service serializes as the
+// {"ok":false,...} reply.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 #include "exp/spec.hpp"
-#include "serve/json_value.hpp"
 
 namespace pnet::serve {
 
@@ -63,6 +64,6 @@ struct Request {
 /// service does, so semantic and syntactic rejections stay distinguishable.
 [[nodiscard]] bool decode_request(std::string_view line, Request& out,
                                   RequestError& error,
-                                  const ParseLimits& limits = {});
+                                  const exp::ParseLimits& limits = {});
 
 }  // namespace pnet::serve

@@ -33,24 +33,12 @@ void summary_json(exp::JsonWriter& w, const exp::Summary& s) {
   w.end_object();
 }
 
-/// The warm-arena key: every NetworkSpec field that shapes the built
-/// topology. Policy/workload knobs are deliberately absent — RouteCache
+/// The warm-arena key: the spec's `topo` object, as the spec field table
+/// writes it. Policy/workload knobs are deliberately absent — RouteCache
 /// entries are keyed by the full RouteQuery already, so queries differing
 /// only in policy share one arena.
 std::uint64_t topo_key(const topo::NetworkSpec& t) {
-  exp::JsonWriter w;
-  w.begin_object();
-  w.field("kind", topo::to_string(t.topo));
-  w.field("type", topo::to_string(t.type));
-  w.field("hosts", t.hosts);
-  w.field("parallelism", t.parallelism);
-  w.field("base_rate_bps", t.base_rate_bps);
-  w.field("seed", t.seed);
-  w.field("jf_switches", t.jf_switches);
-  w.field("jf_degree", t.jf_degree);
-  w.field("jf_hosts_per_switch", t.jf_hosts_per_switch);
-  w.end_object();
-  return exp::fnv1a(w.str());
+  return exp::fnv1a(exp::topo_json(t));
 }
 
 }  // namespace
@@ -211,7 +199,7 @@ std::string Service::handle_line(std::string_view line) {
   }
   Request request;
   RequestError error;
-  ParseLimits limits;
+  exp::ParseLimits limits;
   limits.max_bytes = options_.max_request_bytes;
   if (!decode_request(line, request, error, limits)) {
     (error.code == kErrParse ? rejected_parse_ : rejected_invalid_).inc();

@@ -5,25 +5,6 @@
 
 namespace pnet::topo {
 
-std::string to_string(NetworkType type) {
-  switch (type) {
-    case NetworkType::kSerialLow: return "serial-low-bw";
-    case NetworkType::kParallelHomogeneous: return "parallel-homogeneous";
-    case NetworkType::kParallelHeterogeneous: return "parallel-heterogeneous";
-    case NetworkType::kSerialHigh: return "serial-high-bw";
-  }
-  return "?";
-}
-
-std::string to_string(TopoKind kind) {
-  switch (kind) {
-    case TopoKind::kFatTree: return "fat-tree";
-    case TopoKind::kJellyfish: return "jellyfish";
-    case TopoKind::kXpander: return "xpander";
-  }
-  return "?";
-}
-
 namespace {
 
 struct JellyfishShape {

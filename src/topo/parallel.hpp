@@ -21,6 +21,7 @@
 #include "topo/graph.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
+#include "util/names.hpp"
 
 namespace pnet::topo {
 
@@ -33,8 +34,25 @@ enum class NetworkType : std::uint8_t {
   kSerialHigh,
 };
 
-[[nodiscard]] std::string to_string(NetworkType type);
-[[nodiscard]] std::string to_string(TopoKind kind);
+inline constexpr util::EnumName<TopoKind> kTopoKindNames[] = {
+    {TopoKind::kFatTree, "fat-tree"},
+    {TopoKind::kJellyfish, "jellyfish"},
+    {TopoKind::kXpander, "xpander"},
+};
+
+inline constexpr util::EnumName<NetworkType> kNetworkTypeNames[] = {
+    {NetworkType::kSerialLow, "serial-low-bw"},
+    {NetworkType::kParallelHomogeneous, "parallel-homogeneous"},
+    {NetworkType::kParallelHeterogeneous, "parallel-heterogeneous"},
+    {NetworkType::kSerialHigh, "serial-high-bw"},
+};
+
+[[nodiscard]] inline std::string to_string(NetworkType type) {
+  return util::name_of(kNetworkTypeNames, type);
+}
+[[nodiscard]] inline std::string to_string(TopoKind kind) {
+  return util::name_of(kTopoKindNames, kind);
+}
 
 struct Plane {
   Graph graph;

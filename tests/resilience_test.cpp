@@ -426,9 +426,9 @@ TEST(Checkpoint, EncodeDecodeRoundTrips) {
 TEST(Checkpoint, HashSeparatesSpecs) {
   const auto a = custom_spec("a", 2);
   auto b = custom_spec("a", 2);
-  EXPECT_EQ(Checkpoint::hash_spec(a), Checkpoint::hash_spec(b));
+  EXPECT_EQ(a.hash(), b.hash());
   b.seed += 1;
-  EXPECT_NE(Checkpoint::hash_spec(a), Checkpoint::hash_spec(b));
+  EXPECT_NE(a.hash(), b.hash());
 }
 
 TEST(Checkpoint, ResumedSweepIsByteIdenticalToUninterrupted) {

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "exp/engine.hpp"
+#include "exp/json.hpp"
 #include "serve/cache.hpp"
-#include "serve/json_value.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
@@ -26,6 +26,10 @@ namespace pnet::serve {
 namespace {
 
 // ------------------------------------------------------------- the parser
+
+using exp::JsonValue;
+using exp::parse_json;
+using exp::ParseLimits;
 
 std::string parse_error(std::string_view text, ParseLimits limits = {}) {
   JsonValue out;
@@ -126,6 +130,9 @@ TEST(JsonParser, EnforcesDepthAndByteLimits) {
 }
 
 // ------------------------------------------------------------ the decoder
+//
+// Field-level decoding is exp::decode_spec's (exp_test covers its round
+// trip); these cases pin what a client sees on the wire.
 
 std::string decode_error(std::string_view line) {
   Request out;
@@ -643,6 +650,47 @@ TEST(Service, RealFluidEngineEndToEnd) {
                 R"("topo":{"hosts":16,"parallelism":2},)"
                 R"("workload":{"pattern":"permutation","flow_bytes":100000}})"),
             body);
+}
+
+// Controller experiments are servable: the spec's controller block
+// decodes through the same field table that writes it, so the reply
+// echoes it and names the in-process spec's hash.
+TEST(Service, CentralizedControllerSpecIsServed) {
+  ServiceOptions options;  // default factory = exp::make_engine
+  options.workers = 1;
+  Service service(options);
+  const std::string body = service.handle_line(
+      R"({"name":"ctl","engine":"fsim","controller":{"mode":"centralized"},)"
+      R"("topo":{"hosts":16,"parallelism":2},)"
+      R"("workload":{"flow_bytes":100000}})");
+  ASSERT_EQ(body.rfind(R"({"ok":true)", 0), 0u) << body;
+  EXPECT_NE(body.find(R"("controller":{"mode":"centralized","cadence_us":)"),
+            std::string::npos)
+      << body;
+
+  exp::ExperimentSpec spec;
+  spec.name = "ctl";
+  spec.engine = exp::EngineKind::kFsim;
+  spec.controller.mode = control::ControllerMode::kCentralized;
+  spec.topo.hosts = 16;
+  spec.topo.parallelism = 2;
+  spec.workload.flow_bytes = 100'000;
+  EXPECT_NE(body.find(R"("spec_hash":")" + hash_hex(spec.hash()) + "\""),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find(R"(,"spec":)" + spec.canonical_json() + ","),
+            std::string::npos)
+      << body;
+
+  // Same topology, another experiment: the engine run reuses the warm
+  // route cache of the first.
+  const std::string other = service.handle_line(
+      R"({"name":"ctl-off","engine":"fsim",)"
+      R"("topo":{"hosts":16,"parallelism":2},)"
+      R"("workload":{"flow_bytes":100000}})");
+  ASSERT_EQ(other.rfind(R"({"ok":true)", 0), 0u) << other;
+  EXPECT_EQ(counter_of(service, "engine_runs"), 2u);
+  EXPECT_EQ(counter_of(service, "route_cache_reuse"), 1u);
 }
 
 }  // namespace
