@@ -38,6 +38,7 @@
 #include "routing/shortest.hpp"
 #include "sim/network.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/file.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -355,18 +356,12 @@ int run_json_report(const Flags& flags) {
 
   w.end_object();
   const std::string text = w.str() + "\n";
-  if (path == "-" || path == "1") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return 0;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  const bool to_stdout = path == "-" || path == "1";
+  if (!util::write_file(to_stdout ? "-" : path, text)) {
     std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
     return 1;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  if (!to_stdout) std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
 }
 

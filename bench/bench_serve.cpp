@@ -22,6 +22,7 @@
 #include "common.hpp"
 #include "exp/json.hpp"
 #include "serve/service.hpp"
+#include "util/file.hpp"
 #include "util/parallel.hpp"
 
 using namespace pnet;
@@ -224,13 +225,10 @@ int main(int argc, char** argv) {
     w.end_object();
     w.end_object();
     w.end_object();
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    if (!util::write_file(path, w.str() + "\n")) {
       std::fprintf(stderr, "bench_serve: cannot write %s\n", path.c_str());
       return 1;
     }
-    std::fprintf(f, "%s\n", w.str().c_str());
-    std::fclose(f);
   }
 
   if (mismatches > 0) {

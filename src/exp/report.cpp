@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "util/file.hpp"
 #include "util/stats.hpp"
 
 namespace pnet::exp {
@@ -270,6 +271,12 @@ void cell_to_json(JsonWriter& w, const CellResult& cell, bool with_runtime) {
   w.end_object();  // cell
 }
 
+bool write_text(const std::string& path, const std::string& text) {
+  if (util::write_file(path, text)) return true;
+  std::fprintf(stderr, "exp::Report: cannot write '%s'\n", path.c_str());
+  return false;
+}
+
 }  // namespace
 
 std::string Report::to_json(bool with_runtime) const {
@@ -307,21 +314,7 @@ std::string Report::to_json(bool with_runtime) const {
 }
 
 bool Report::write_json(const std::string& path, bool with_runtime) const {
-  const std::string text = to_json(with_runtime);
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "exp::Report: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "exp::Report: short write to '%s'\n",
-                        path.c_str());
-  return ok;
+  return write_text(path, to_json(with_runtime));
 }
 
 bool Report::write_trace(const std::string& path) const {
@@ -356,16 +349,7 @@ bool Report::write_trace(const std::string& path) const {
     }
     text += "\n],\"displayTimeUnit\":\"ms\"}\n";
   }
-  std::FILE* f = std::fopen(path.c_str(), binary ? "wb" : "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "exp::Report: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "exp::Report: short write to '%s'\n",
-                        path.c_str());
-  return ok;
+  return write_text(path, text);
 }
 
 }  // namespace pnet::exp

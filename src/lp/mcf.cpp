@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "routing/shortest.hpp"
 
@@ -29,7 +31,7 @@ struct GkState {
 
   /// Sends `amount` along `path` (global link ids), updating lengths and the
   /// dual objective incrementally.
-  void send(const std::vector<int>& path, double amount) {
+  void send(std::span<const int> path, double amount) {
     for (int e : path) {
       const auto idx = static_cast<std::size_t>(e);
       flow[idx] += amount;
@@ -40,13 +42,13 @@ struct GkState {
     }
   }
 
-  [[nodiscard]] double path_length(const std::vector<int>& path) const {
+  [[nodiscard]] double path_length(std::span<const int> path) const {
     double total = 0.0;
     for (int e : path) total += length[static_cast<std::size_t>(e)];
     return total;
   }
 
-  [[nodiscard]] double bottleneck(const std::vector<int>& path) const {
+  [[nodiscard]] double bottleneck(std::span<const int> path) const {
     double c = kInf;
     for (int e : path) c = std::min(c, cap[static_cast<std::size_t>(e)]);
     return c;
@@ -68,6 +70,59 @@ struct GkState {
   std::vector<double> length;
   std::vector<double> flow;
   double dual = 0.0;  // sum_e cap_e * length_e; phases stop when >= 1
+};
+
+/// Every commodity's candidate paths, flattened once per solve: path p
+/// crosses links[begin[p], begin[p + 1]) with bottleneck capacity
+/// bottleneck[p], and commodity j owns paths [first[j], first[j + 1]).
+struct PathStore {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  PathStore(const GkState& state, const std::vector<Commodity>& commodities)
+      : begin{0}, first{0} {
+    for (const Commodity& commodity : commodities) {
+      for (const auto& path : commodity.paths) {
+        links.insert(links.end(), path.begin(), path.end());
+        begin.push_back(links.size());
+        bottleneck.push_back(state.bottleneck(path));
+      }
+      first.push_back(bottleneck.size());
+    }
+  }
+
+  [[nodiscard]] std::span<const int> path(std::size_t p) const {
+    return {links.data() + begin[p], begin[p + 1] - begin[p]};
+  }
+
+  /// False when every path of commodity j crosses a zero-capacity link
+  /// (infinitely long from the start), or it has none.
+  [[nodiscard]] bool routable(std::size_t j) const {
+    for (std::size_t p = first[j]; p < first[j + 1]; ++p) {
+      if (bottleneck[p] > 0.0) return true;
+    }
+    return false;
+  }
+
+  /// Commodity j's cheapest path under the current lengths (the first on
+  /// ties) and its length; kNone and +inf when none is finite.
+  [[nodiscard]] std::pair<std::size_t, double> cheapest(
+      const GkState& state, std::size_t j) const {
+    std::size_t best = kNone;
+    double best_len = kInf;
+    for (std::size_t p = first[j]; p < first[j + 1]; ++p) {
+      const double len = state.path_length(path(p));
+      if (len < best_len) {
+        best_len = len;
+        best = p;
+      }
+    }
+    return {best, best_len};
+  }
+
+  std::vector<int> links;
+  std::vector<std::size_t> begin;
+  std::vector<double> bottleneck;
+  std::vector<std::size_t> first;
 };
 
 McfResult finish(const GkState& state, const std::vector<double>& routed,
@@ -114,16 +169,18 @@ McfResult max_concurrent_flow(const std::vector<double>& capacity,
                               const std::vector<Commodity>& commodities,
                               const McfOptions& options) {
   GkState state(capacity, options.epsilon);
+  const PathStore store(state, commodities);
   std::vector<double> routed(commodities.size(), 0.0);
   std::vector<double> demands(commodities.size(), 0.0);
   for (std::size_t j = 0; j < commodities.size(); ++j) {
     demands[j] = commodities[j].demand;
   }
 
-  // A commodity with no candidate path pins alpha to zero; report that
-  // without burning phases.
-  for (const auto& commodity : commodities) {
-    if (commodity.paths.empty()) {
+  // A commodity with no candidate path, or only paths across a
+  // zero-capacity link, pins alpha to zero; report that without burning
+  // phases.
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    if (!store.routable(j)) {
       McfResult result;
       result.rates.assign(commodities.size(), 0.0);
       return result;
@@ -134,22 +191,13 @@ McfResult max_concurrent_flow(const std::vector<double>& capacity,
   for (int phase = 0; phase < options.max_phases && state.dual < 1.0;
        ++phase) {
     for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const Commodity& commodity = commodities[j];
-      double remaining = commodity.demand;
+      double remaining = commodities[j].demand;
       while (remaining > 0.0 && state.dual < 1.0) {
         // Oracle: cheapest candidate path under current lengths.
-        const std::vector<int>* best = nullptr;
-        double best_len = kInf;
-        for (const auto& path : commodity.paths) {
-          const double len = state.path_length(path);
-          if (len < best_len) {
-            best_len = len;
-            best = &path;
-          }
-        }
-        assert(best != nullptr);
-        const double amount = std::min(remaining, state.bottleneck(*best));
-        state.send(*best, amount);
+        const std::size_t best = store.cheapest(state, j).first;
+        assert(best != PathStore::kNone);
+        const double amount = std::min(remaining, store.bottleneck[best]);
+        state.send(store.path(best), amount);
         routed[j] += amount;
         remaining -= amount;
       }
@@ -166,6 +214,7 @@ McfResult max_total_flow(const std::vector<double>& capacity,
                          const std::vector<Commodity>& commodities,
                          const McfOptions& options) {
   GkState state(capacity, options.epsilon);
+  const PathStore store(state, commodities);
   std::vector<double> routed(commodities.size(), 0.0);
   std::vector<double> demands(commodities.size(), 1.0);
 
@@ -175,28 +224,28 @@ McfResult max_total_flow(const std::vector<double>& capacity,
   // saturated links price themselves out; the others keep filling spare
   // capacity — that differential is what "maximize total" means. The final
   // utilization rescale certifies feasibility.
-  for (int phase = 0; phase < options.max_phases; ++phase) {
-    bool progress = false;
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const Commodity& commodity = commodities[j];
-      if (commodity.paths.empty()) continue;
-      const std::vector<int>* best = nullptr;
-      double best_len = kInf;
-      for (const auto& path : commodity.paths) {
-        const double len = state.path_length(path);
-        if (len < best_len) {
-          best_len = len;
-          best = &path;
-        }
-      }
+  //
+  // Priced out is permanent: lengths only grow, and a rounded sum of
+  // terms that do not decrease does not decrease, so a commodity leaves
+  // `active` (kept in index order) the first time its cheapest path
+  // reaches 1.
+  std::vector<std::size_t> active;
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    if (!commodities[j].paths.empty()) active.push_back(j);
+  }
+  for (int phase = 0; phase < options.max_phases && !active.empty();
+       ++phase) {
+    std::size_t kept = 0;
+    for (const std::size_t j : active) {
+      const auto [best, best_len] = store.cheapest(state, j);
       if (best_len >= 1.0) continue;  // priced out
+      active[kept++] = j;
       const double amount =
-          std::min(commodity.demand, state.bottleneck(*best));
-      state.send(*best, amount);
+          std::min(commodities[j].demand, store.bottleneck[best]);
+      state.send(store.path(best), amount);
       routed[j] += amount;
-      progress = true;
     }
-    if (!progress) break;
+    active.resize(kept);
   }
   auto result = finish(state, routed, demands);
   result.alpha = 0.0;

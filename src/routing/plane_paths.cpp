@@ -14,40 +14,54 @@ std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
                                     std::uint64_t tiebreak_seed,
                                     int total_cap, const PlaneBans* bans) {
   if (total_cap <= 0) total_cap = k;
-  // (hops, rank within plane, plane, path): sorting by this tuple yields
-  // globally shortest first with round-robin across planes at equal length.
-  std::vector<std::tuple<int, int, int>> order;
-  std::vector<Path> pool;
-
-  for (int p = 0; p < net.num_planes(); ++p) {
+  if (k <= 0) return {};
+  const int planes = net.num_planes();
+  std::vector<LinkWeights> jitter(static_cast<std::size_t>(planes));
+  std::vector<YenSearch> searches;
+  searches.reserve(static_cast<std::size_t>(planes));
+  for (int p = 0; p < planes; ++p) {
     const topo::Graph& g = net.plane(p).graph;
-    LinkWeights jitter;
+    LinkWeights& w = jitter[static_cast<std::size_t>(p)];
     if (tiebreak_seed != 0) {
-      jitter = jittered_unit_weights(
+      w = jittered_unit_weights(
           g, tiebreak_seed + static_cast<std::uint64_t>(p) * 0x1F3D5B79ULL);
     }
-    auto paths = k_shortest_paths(g, net.host_node(p, src),
-                                  net.host_node(p, dst), k,
-                                  tiebreak_seed != 0 ? &jitter : nullptr,
-                                  detail::plane_bans(bans, p));
-    for (std::size_t rank = 0; rank < paths.size(); ++rank) {
-      paths[rank].plane = p;
-      order.emplace_back(paths[rank].hops(), static_cast<int>(rank), p);
-      pool.push_back(std::move(paths[rank]));
-    }
+    searches.emplace_back(g, net.host_node(p, src), net.host_node(p, dst),
+                          tiebreak_seed != 0 ? &w : nullptr,
+                          detail::plane_bans(bans, p));
+    searches.back().next();
   }
 
-  std::vector<std::size_t> index(pool.size());
-  for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
-  std::sort(index.begin(), index.end(), [&](std::size_t a, std::size_t b) {
-    return order[a] < order[b];
-  });
-
+  // Merge the plane heads on (hops, rank within plane, plane): globally
+  // shortest first, round-robin across planes at equal length. A plane's
+  // keys strictly increase (Yen never shortens), so the merge emits the
+  // sorted order of all k paths per plane and the plane it took from is
+  // the only one whose next path can be needed.
+  std::vector<int> taken(static_cast<std::size_t>(planes), 0);
   std::vector<Path> out;
   out.reserve(static_cast<std::size_t>(total_cap));
-  for (std::size_t i = 0;
-       i < index.size() && static_cast<int>(out.size()) < total_cap; ++i) {
-    out.push_back(std::move(pool[index[i]]));
+  while (static_cast<int>(out.size()) < total_cap) {
+    int best = -1;
+    std::tuple<int, int, int> best_key;
+    for (int p = 0; p < planes; ++p) {
+      const auto& found = searches[static_cast<std::size_t>(p)].paths();
+      const int rank = taken[static_cast<std::size_t>(p)];
+      if (rank == static_cast<int>(found.size())) continue;  // drained
+      const std::tuple<int, int, int> key{
+          found[static_cast<std::size_t>(rank)].hops(), rank, p};
+      if (best < 0 || key < best_key) {
+        best = p;
+        best_key = key;
+      }
+    }
+    if (best < 0) break;
+    YenSearch& search = searches[static_cast<std::size_t>(best)];
+    const int rank = taken[static_cast<std::size_t>(best)]++;
+    out.push_back(search.paths()[static_cast<std::size_t>(rank)]);
+    out.back().plane = best;
+    if (static_cast<int>(out.size()) < total_cap && rank + 1 < k) {
+      search.next();
+    }
   }
   return out;
 }

@@ -37,6 +37,11 @@ inline const std::vector<bool>* plane_bans(const PlaneBans* bans, int p) {
 /// `total_cap` bounds the merged result (0 means k); pass k * num_planes to
 /// keep every per-plane candidate, e.g. so a failure-aware selector can
 /// re-filter by plane without recomputing.
+/// Each plane's Yen runs only as far as the merge needs it: one path per
+/// plane plus one per path handed out, at most k per plane, so a cap of k
+/// computes at most k + N - 1 paths where a cap of k * N computes them all.
+/// The result equals sorting all k paths of every plane and cutting to the
+/// cap.
 std::vector<Path> ksp_across_planes(const topo::ParallelNetwork& net,
                                     HostId src, HostId dst, int k,
                                     std::uint64_t tiebreak_seed = 0,

@@ -593,42 +593,129 @@ TEST(YenReference, SamePathsInSameOrderAsReference) {
   EXPECT_EQ(compared, 3 * 2 * 2 * 12 * 12);
 }
 
-TEST(YenReference, KspAcrossPlanesMatchesReference) {
-  Rng rng(77);
-  for (const auto kind : {topo::TopoKind::kJellyfish, topo::TopoKind::kFatTree,
-                          topo::TopoKind::kXpander}) {
-    topo::NetworkSpec spec;
-    spec.topo = kind;
-    spec.type = topo::NetworkType::kParallelHeterogeneous;
-    spec.hosts = 32;
-    spec.parallelism = 3;
-    spec.seed = 11;
-    const auto net = build_network(spec);
-    const auto hosts = static_cast<std::uint64_t>(net.num_hosts());
-    PlaneBans bans(static_cast<std::size_t>(net.num_planes()));
-    for (int p = 0; p < net.num_planes(); ++p) {
-      bans[static_cast<std::size_t>(p)] =
-          random_cable_bans(net.plane(p).graph, rng, 8);
-    }
-    for (int i = 0; i < 6; ++i) {
-      const HostId src{static_cast<std::int32_t>(rng.next_below(hosts))};
-      const HostId dst{static_cast<std::int32_t>(rng.next_below(hosts))};
-      const std::uint64_t seed = i % 3 == 0 ? 0 : mix64(rng.next_u64());
-      for (const int k : {1, 4, 8}) {
-        for (const PlaneBans* b : {static_cast<const PlaneBans*>(nullptr),
-                                   static_cast<const PlaneBans*>(&bans)}) {
-          const int cap = k * net.num_planes();
-          EXPECT_EQ(
-              link_sequences(ksp_across_planes(net, src, dst, k, seed, cap, b)),
-              link_sequences(
-                  reference::ksp_across_planes(net, src, dst, k, seed, cap, b)))
-              << "topo=" << static_cast<int>(kind) << " src=" << src.v
-              << " dst=" << dst.v << " k=" << k << " seed=" << seed
-              << " bans=" << (b != nullptr);
+TEST(YenReference, YenSearchYieldsReferencePathsOneAtATime) {
+  Rng rng(31);
+  constexpr int kMaxK = 12;
+  int compared = 0;
+  for (const ReferenceFabric& f : reference_fabrics()) {
+    const Graph& g = f.graph;
+    const auto hosts = static_cast<std::uint64_t>(f.hosts.size());
+    for (const bool jittered : {false, true}) {
+      const LinkWeights jitter = jittered_unit_weights(g, rng.next_u64());
+      const LinkWeights* weights = jittered ? &jitter : nullptr;
+      for (const bool with_bans : {false, true}) {
+        std::vector<bool> bans;
+        if (with_bans) {
+          bans = random_cable_bans(g, rng, 10);
+          for (const LinkId id : g.out_links(f.hosts.back())) {
+            bans[static_cast<std::size_t>(id.v)] = true;
+            bans[static_cast<std::size_t>(id.v ^ 1)] = true;
+          }
+        }
+        const std::vector<bool>* base = with_bans ? &bans : nullptr;
+        std::vector<std::pair<NodeId, NodeId>> pairs = {
+            {f.hosts.front(), f.hosts.front()},
+            {f.hosts.front(), f.hosts.back()},
+        };
+        for (int i = 0; i < 6; ++i) {
+          pairs.emplace_back(f.hosts[rng.next_below(hosts)],
+                             f.hosts[rng.next_below(hosts)]);
+        }
+        for (const auto& [src, dst] : pairs) {
+          YenSearch search(g, src, dst, weights, base);
+          std::vector<Path> yielded;
+          for (int k = 1; k <= kMaxK; ++k) {
+            if (const Path* next = search.next()) yielded.push_back(*next);
+            const auto expect =
+                reference::k_shortest_paths(g, src, dst, k, weights, base);
+            ASSERT_EQ(link_sequences(yielded), link_sequences(expect))
+                << f.name << " jittered=" << jittered
+                << " bans=" << with_bans << " src=" << src.v
+                << " dst=" << dst.v << " k=" << k;
+            ASSERT_EQ(link_sequences(search.paths()), link_sequences(expect));
+            ++compared;
+          }
+          if (static_cast<int>(yielded.size()) < kMaxK) {
+            // Drained: stays drained and keeps what it yielded.
+            EXPECT_EQ(search.next(), nullptr);
+            EXPECT_EQ(search.next(), nullptr);
+            EXPECT_EQ(search.paths().size(), yielded.size());
+          }
+          for (std::size_t r = 1; r < yielded.size(); ++r) {
+            EXPECT_LE(yielded[r - 1].hops(), yielded[r].hops());
+          }
+          EXPECT_EQ(link_sequences(search.take_paths()),
+                    link_sequences(yielded));
+          EXPECT_EQ(search.next(), nullptr);
         }
       }
     }
   }
+  EXPECT_EQ(compared, 3 * 2 * 2 * 8 * kMaxK);
+}
+
+TEST(YenReference, KspAcrossPlanesMatchesReference) {
+  Rng rng(77);
+  int compared = 0;
+  for (const auto kind : {topo::TopoKind::kJellyfish, topo::TopoKind::kFatTree,
+                          topo::TopoKind::kXpander}) {
+    for (int planes = 1; planes <= 4; ++planes) {
+      topo::NetworkSpec spec;
+      spec.topo = kind;
+      spec.type = topo::NetworkType::kParallelHeterogeneous;
+      spec.hosts = 32;
+      spec.parallelism = planes;
+      spec.seed = 11;
+      const auto net = build_network(spec);
+      ASSERT_EQ(net.num_planes(), planes);
+      const auto hosts = static_cast<std::uint64_t>(net.num_hosts());
+      // The last host is cut off in the last plane: with bans, its pairs
+      // are disconnected there and connected elsewhere.
+      const HostId cut{static_cast<std::int32_t>(hosts - 1)};
+      PlaneBans bans(static_cast<std::size_t>(planes));
+      for (int p = 0; p < planes; ++p) {
+        const Graph& g = net.plane(p).graph;
+        auto& mask = bans[static_cast<std::size_t>(p)];
+        mask = random_cable_bans(g, rng, 8);
+        if (p != planes - 1) continue;
+        for (const LinkId id : g.out_links(net.host_node(p, cut))) {
+          mask[static_cast<std::size_t>(id.v)] = true;
+          mask[static_cast<std::size_t>(id.v ^ 1)] = true;
+        }
+      }
+      std::vector<std::pair<HostId, HostId>> pairs = {
+          {HostId{0}, HostId{0}},  // src == dst
+          {HostId{0}, cut},
+      };
+      for (int i = 0; i < 3; ++i) {
+        pairs.emplace_back(
+            HostId{static_cast<std::int32_t>(rng.next_below(hosts))},
+            HostId{static_cast<std::int32_t>(rng.next_below(hosts))});
+      }
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto [src, dst] = pairs[i];
+        const std::uint64_t seed = i % 2 == 0 ? 0 : mix64(rng.next_u64());
+        for (int k = 1; k <= 12; ++k) {
+          for (const int cap : {0, 1, k, k + 1, 2 * k, k * planes}) {
+            for (const PlaneBans* b :
+                 {static_cast<const PlaneBans*>(nullptr),
+                  static_cast<const PlaneBans*>(&bans)}) {
+              ASSERT_EQ(link_sequences(
+                            ksp_across_planes(net, src, dst, k, seed, cap, b)),
+                        link_sequences(reference::ksp_across_planes(
+                            net, src, dst, k, seed, cap, b)))
+                  << "topo=" << static_cast<int>(kind) << " N=" << planes
+                  << " src=" << src.v << " dst=" << dst.v << " k=" << k
+                  << " cap=" << cap << " seed=" << seed
+                  << " bans=" << (b != nullptr);
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 3 * 4 * 5 * 12 * 6 * 2);
 }
 
 TEST(Ecmp, FatTreeInterPodPathCount) {

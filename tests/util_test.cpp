@@ -1,10 +1,15 @@
 // Unit tests for the util substrate: units, ids, rng, stats, flags, tables.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "util/file.hpp"
 #include "util/flags.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
@@ -326,6 +331,36 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(3.0), "3");
   EXPECT_EQ(format_double(3.10, 2), "3.1");
   EXPECT_EQ(format_double(0.042, 3), "0.042");
+}
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(WriteFile, RewriteLeavesExactlyTheNewBytes) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "write_file_test.json";
+  std::remove(path.c_str());
+  const std::string long_text(4096, 'x');
+  ASSERT_TRUE(util::write_file(path, long_text));
+  EXPECT_EQ(read_all(path), long_text);
+  // A shorter rewrite in place: no tail of the longer file survives.
+  ASSERT_TRUE(util::write_file(path, "short\n"));
+  EXPECT_EQ(read_all(path), "short\n");
+  ASSERT_TRUE(util::write_file(path, ""));
+  EXPECT_EQ(read_all(path), "");
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, DevicesWorkAndBadPathsFail) {
+  EXPECT_TRUE(util::write_file("/dev/null", "discarded\n"));
+  EXPECT_TRUE(util::write_file("-", ""));
+  const std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(util::write_file(dir + "no_such_dir/out.json", "x"));
+  EXPECT_FALSE(util::write_file(dir, "x"));  // a directory
 }
 
 }  // namespace
