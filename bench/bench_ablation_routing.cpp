@@ -65,7 +65,7 @@ exp::TrialResult run_coupling(sim::Coupling coupling) {
     h.starter()(HostId{0}, HostId{15}, 50'000'000, 0, {});
     h.run();
     result.metrics["disjoint_fct_ms"] = h.logger().fct_us().front() / 1000.0;
-    result.events += h.events().dispatched();
+    result.events += h.dispatched();
   }
   // Shared bottleneck: 2-subflow MPTCP vs 1 TCP into the same host.
   {
@@ -94,7 +94,7 @@ exp::TrialResult run_coupling(sim::Coupling coupling) {
     result.metrics["shared_share"] =
         mptcp_bytes /
         (mptcp_bytes + static_cast<double>(tcp.acked_bytes()));
-    result.events += h.events().dispatched();
+    result.events += h.dispatched();
   }
   return result;
 }

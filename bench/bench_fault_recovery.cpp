@@ -95,8 +95,7 @@ exp::TrialResult run_network(topo::NetworkType type, const Scenario& sc,
   monitor.set_trace(&tel->trace);
   h.selector().enable_repath(h.factory());
   sim::FaultInjector injector(h.events(), h.network());
-  // Fabric events fan out through the LinkStateBus (DESIGN.md §5j) — the
-  // same wiring monitor.observe(injector) used to make directly, now one
+  // Fabric events fan out through the LinkStateBus (DESIGN.md §5j), one
   // observer API shared with route caches and the adaptive controller.
   control::LinkStateBus bus;
   bus.subscribe_health_monitor(monitor);

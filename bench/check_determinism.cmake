@@ -7,7 +7,8 @@
 # never a behavior change). Each case runs its bench once per row and
 # compares every row against the case's first row. Invoked by the
 # bench_report_determinism test with -DBENCH=<bench_fig9 path>
-# -DFAULT_BENCH=<bench_fault_recovery path> -DWORKDIR=<scratch dir>.
+# -DFIG11_BENCH=<bench_fig11 path> -DFAULT_BENCH=<bench_fault_recovery
+# path> -DWORKDIR=<scratch dir>.
 
 # check_case(<name> <bench> ARGS <args...> ROWS <threads:sim_threads:cache>...)
 function(check_case name bench)
@@ -60,6 +61,13 @@ foreach(ctl off centralized)
              ARGS ${fig9} --planes=4 --controller=${ctl} --engine=packet
              ROWS 2:1:on 2:2:on 2:4:on)
 endforeach()
+
+# Closed-loop cells, whose workers issue each request from a flow callback.
+if(FIG11_BENCH)
+  check_case(fig11_closed_loop ${FIG11_BENCH}
+             ARGS --hosts=16 --rounds=2 --json-timing=0
+             ROWS 1:1:on 4:1:on 1:2:on 4:2:on 1:1:off)
+endif()
 
 if(FAULT_BENCH)
   check_case(fault_recovery ${FAULT_BENCH}

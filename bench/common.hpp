@@ -24,6 +24,7 @@
 #include "routing/plane_paths.hpp"
 #include "util/audit.hpp"
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"
@@ -46,6 +47,26 @@ inline topo::NetworkSpec make_spec(topo::TopoKind kind,
   spec.hosts = hosts;
   spec.parallelism = parallelism;
   spec.seed = seed;
+  return spec;
+}
+
+/// A closed-loop packet cell (DESIGN.md §5c): `concurrent` request workers
+/// per host, `rounds` requests each, single-path shortest-plane routing
+/// (the paper's latency setup). Every trial shares the wiring of the
+/// first, util::job_seed(seed, 0). Callers set the request sizes.
+inline exp::ExperimentSpec closed_loop_spec(
+    std::string name, topo::TopoKind kind, topo::NetworkType type, int hosts,
+    int planes, int concurrent, int rounds, std::uint64_t seed, int trials) {
+  exp::ExperimentSpec spec;
+  spec.name = std::move(name);
+  spec.topo = make_spec(kind, type, hosts, planes, util::job_seed(seed, 0));
+  spec.policy.policy = core::RoutingPolicy::kShortestPlane;
+  spec.workload.pattern = exp::WorkloadSpec::Pattern::kClosedLoop;
+  spec.workload.concurrent = concurrent;
+  spec.workload.rounds = rounds;
+  spec.workload.start_jitter = 0;
+  spec.seed = seed;
+  spec.trials = trials;
   return spec;
 }
 
@@ -106,16 +127,8 @@ inline LpRun lp_throughput(const topo::ParallelNetwork& net,
   return {result.total_throughput, result.alpha};
 }
 
-/// The physical saturation throughput of the serial low-bandwidth network
-/// with the same host count: the normalization denominator used by every
-/// LP figure (serial low-bw == 1.0, N planes saturate at N).
-inline double serial_low_capacity_bps(const topo::ParallelNetwork& net) {
-  return static_cast<double>(net.num_hosts()) * net.spec().base_rate_bps;
-}
-
-// Summary statistics now live in the experiment layer; the bench names
-// stay for the figure code.
-using exp::Summary;
+// Summary statistics live in the experiment layer; the bench name stays
+// for the figure code.
 using exp::summarize;
 
 /// Prints a CDF as x/y rows, downsampled for readability.
@@ -264,9 +277,6 @@ class Experiment {
     return trials_override_ > 0 ? trials_override_ : def;
   }
 
-  [[nodiscard]] const exp::Runner& runner() const { return runner_; }
-  [[nodiscard]] exp::Report& report() { return report_; }
-
   /// Queues one cell (run later by run()). Returns its index within the
   /// pending batch. With no fn the spec's engine must be kPacket or kFsim.
   std::size_t add(exp::ExperimentSpec spec, exp::TrialFn fn = {}) {
@@ -285,12 +295,6 @@ class Experiment {
     cells_.clear();
     for (const auto& cell : results) report_.add(cell);
     return results;
-  }
-
-  /// Single-cell convenience: queue, run, return.
-  exp::CellResult run_one(exp::ExperimentSpec spec, exp::TrialFn fn = {}) {
-    add(std::move(spec), std::move(fn));
-    return std::move(run().front());
   }
 
   /// Bench epilogue: writes the --json report (runtime block included

@@ -60,6 +60,10 @@ class SimHarness {
   explicit SimHarness(const Options& options);
 
   [[nodiscard]] const topo::ParallelNetwork& net() const { return net_; }
+  /// The control queue only (faults, health probes, telemetry, controller
+  /// ticks, workload apps) — not the shards, which run the data plane.
+  /// Its dispatched() count misses every packet event; count a run's
+  /// events with SimHarness::dispatched().
   [[nodiscard]] sim::EventQueue& events() { return events_; }
   [[nodiscard]] sim::SimNetwork& network() { return network_; }
   [[nodiscard]] sim::FlowLogger& logger() { return logger_; }

@@ -2,11 +2,11 @@
 // individual dataplane failures via link status and avoid using the broken
 // dataplane(s)".
 //
-// HealthMonitor models the information path of that sentence. The
-// FaultInjector tells it the instant a fault hits the fabric; the monitor
-// waits out a configurable link-status propagation delay (carrier-loss
-// debounce + software notification on a real NIC) and only then lets the
-// host stack react:
+// HealthMonitor models the information path of that sentence. The fabric
+// (a FaultInjector, through control::LinkStateBus) tells it the instant a
+// fault hits; the monitor waits out a configurable link-status propagation
+// delay (carrier-loss debounce + software notification on a real NIC) and
+// only then lets the host stack react:
 //   * every registered PathSelector marks the plane failed/recovered, so
 //     new flows avoid (or resume using) it;
 //   * the FlowFactory repaths live single-path flows off a failed plane,
@@ -57,12 +57,6 @@ class HealthMonitor : public sim::EventSource {
   }
   /// Registers the factory whose live flows react to plane transitions.
   void set_factory(sim::FlowFactory& factory) { factory_ = &factory; }
-  /// Wires this monitor as a listener of `injector`. Deprecated for new
-  /// code: subscribe through control::LinkStateBus instead, which fans one
-  /// fabric-event stream out to the monitor, route caches, and the
-  /// adaptive controller in a fixed order.
-  void observe(sim::FaultInjector& injector);
-
   /// Records host-side detections ("detect" instants, arg = plane) and
   /// route-cache invalidations ("cache_invalidate" instants) into `trace`.
   /// Null detaches (the default zero-cost path); must outlive the monitor.

@@ -1,13 +1,16 @@
 #include "exp/engine.hpp"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "control/controller.hpp"
 #include "control/dataplanes.hpp"
 #include "core/harness.hpp"
 #include "util/parallel.hpp"
+#include "workload/apps.hpp"
 #include "workload/patterns.hpp"
 
 namespace pnet::exp {
@@ -24,8 +27,12 @@ std::vector<workload::HostPair> pattern_pairs(
       return workload::all_to_all_pairs(net.num_hosts());
     case WorkloadSpec::Pattern::kRackAllToAll:
       return workload::rack_all_to_all_pairs(net);
+    case WorkloadSpec::Pattern::kClosedLoop:
+      break;  // ExperimentSpec::validate keeps it on the packet engine
   }
-  return {};
+  throw std::invalid_argument(std::string("pattern ") +
+                              to_string(workload.pattern) +
+                              " draws no host pairs");
 }
 
 SimTime jittered(SimTime base, SimTime jitter, Rng& rng) {
@@ -113,37 +120,66 @@ TrialResult PacketEngine::run_trial(const TrialContext& ctx) {
         [shards = harness.shards()] { return shards->busy(); });
     control_driver->start(harness.events().now());
   }
-  Rng rng(ctx.seed);
-  for (int round = 0; round < wl.rounds; ++round) {
-    if (ctx.cancel.cancelled()) break;
-    const SimTime base =
-        wl.round_gap > 0 ? round * wl.round_gap : harness.events().now();
-    for (const auto& [src, dst] :
-         pattern_pairs(wl, harness.net(), rng)) {
-      ++r.flows_started;
-      harness.starter()(src, dst, wl.flow_bytes,
-                        jittered(base, wl.start_jitter, rng),
-                        [&r](const sim::FlowRecord& rec) {
-                          r.fct_us.push_back(
-                              units::to_microseconds(rec.end - rec.start));
-                          ++r.flows_finished;
-                        });
-    }
-    if (wl.round_gap == 0) {
-      // Back-to-back rounds: drain this round before drawing the next.
-      if (spec.deadline > 0) {
-        harness.run_until(spec.deadline);
-      } else {
-        harness.run();
-      }
-    }
-  }
-  if (wl.round_gap > 0) {
+  const auto run_to_deadline = [&] {
     if (spec.deadline > 0) {
       harness.run_until(spec.deadline);
     } else {
       harness.run();
     }
+  };
+  // Outlives the run: flow callbacks point into it until finalize.
+  std::optional<workload::ClosedLoopApp> app;
+  if (wl.pattern == WorkloadSpec::Pattern::kClosedLoop) {
+    const workload::FlowSizeDistribution* sizes =
+        wl.size_trace ? &workload::FlowSizeDistribution::of(*wl.size_trace)
+                      : nullptr;
+    const int hosts = harness.net().num_hosts();
+    app.emplace(
+        harness.starter(), harness.all_hosts(),
+        workload::ClosedLoopApp::Config{
+            .concurrent_per_host = wl.concurrent,
+            .response_bytes = wl.response_bytes,
+            .rounds_per_worker = wl.rounds,
+            .seed = mix64(ctx.seed)},
+        [hosts](HostId src, Rng& rng) {
+          return workload::random_destination(hosts, src, rng);
+        },
+        [&wl, sizes](Rng& rng) {
+          return sizes != nullptr ? sizes->sample(rng, wl.size_cap_bytes)
+                                  : wl.flow_bytes;
+        });
+    app->start(0);
+    run_to_deadline();
+    r.fct_us = app->completion_times_us();
+    r.flows_started = static_cast<std::uint64_t>(hosts) *
+                      static_cast<std::uint64_t>(wl.concurrent) *
+                      static_cast<std::uint64_t>(wl.rounds);
+    r.flows_finished = r.fct_us.size();
+    // The loss side of the closed loop's latency tail.
+    r.metrics["drops"] =
+        static_cast<double>(harness.network().total_drops());
+    r.metrics["timeouts"] =
+        static_cast<double>(harness.logger().total_timeouts());
+  } else {
+    Rng rng(ctx.seed);
+    for (int round = 0; round < wl.rounds; ++round) {
+      if (ctx.cancel.cancelled()) break;
+      const SimTime base =
+          wl.round_gap > 0 ? round * wl.round_gap : harness.events().now();
+      for (const auto& [src, dst] : pattern_pairs(wl, harness.net(), rng)) {
+        ++r.flows_started;
+        harness.starter()(src, dst, wl.flow_bytes,
+                          jittered(base, wl.start_jitter, rng),
+                          [&r](const sim::FlowRecord& rec) {
+                            r.fct_us.push_back(
+                                units::to_microseconds(rec.end - rec.start));
+                            ++r.flows_finished;
+                          });
+      }
+      // Back-to-back rounds: drain this round before drawing the next.
+      if (wl.round_gap == 0) run_to_deadline();
+    }
+    if (wl.round_gap > 0) run_to_deadline();
   }
   // Finalize before any throw: a cancelled trial must still log its
   // partial flow records (and run the conservation sweep) — the records

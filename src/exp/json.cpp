@@ -393,6 +393,7 @@ class Parser {
     }
     out.kind = JsonValue::Kind::kNumber;
     out.number = value;
+    out.text = token;
     return true;
   }
 

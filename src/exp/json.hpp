@@ -87,7 +87,9 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
-  std::string text;                                       // kString
+  /// kString: the decoded string; kNumber: the literal as written, for
+  /// integers wider than a double holds exactly.
+  std::string text;
   std::vector<JsonValue> items;                           // kArray
   std::vector<std::pair<std::string, JsonValue>> members; // kObject, in
                                                           // document order

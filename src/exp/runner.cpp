@@ -21,14 +21,6 @@ double now_seconds() {
 
 }  // namespace
 
-TrialResult Runner::packet_trial(const TrialContext& ctx) {
-  return PacketEngine().run_trial(ctx);
-}
-
-TrialResult Runner::fsim_trial(const TrialContext& ctx) {
-  return FluidEngine().run_trial(ctx);
-}
-
 std::vector<CellResult> Runner::run(const std::vector<Cell>& queued) const {
   // Controller default-merge (set_controller): cells that left the mode at
   // kOff inherit the runner-wide config on a copy, BEFORE validation and

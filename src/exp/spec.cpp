@@ -1,5 +1,6 @@
 #include "exp/spec.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <type_traits>
 #include <utility>
@@ -61,6 +62,25 @@ struct U64 {
     if (!integral(v, 0.0, kMaxExactInteger, d, why)) return false;
     out = static_cast<std::uint64_t>(d);
     return true;
+  }
+};
+
+/// Any unsigned 64-bit integer, read from the number's literal so no digit
+/// is lost to the double parse tree. Topology seeds need the full width:
+/// the benches wire with util::job_seed outputs.
+struct Seed64 {
+  static std::uint64_t encode(std::uint64_t v) { return v; }
+  static bool decode(const JsonValue& v, std::uint64_t& out,
+                     std::string& why) {
+    if (v.is_number()) {
+      const char* last = v.text.data() + v.text.size();
+      const auto [end, ec] = std::from_chars(v.text.data(), last, out);
+      if (ec == std::errc() && end == last) return true;
+      if (ec == std::errc::result_out_of_range) {
+        return fail(why, "out of range");
+      }
+    }
+    return U64::decode(v, out, why);  // "1e3", "-1", "1.5", non-numbers
   }
 };
 
@@ -133,6 +153,15 @@ struct ByName {
     out = *value;
     return true;
   }
+  // An optional enum: written only when set (its emit-when says so).
+  const char* encode(const std::optional<E>& v) const { return encode(*v); }
+  bool decode(const JsonValue& v, std::optional<E>& out,
+              std::string& why) const {
+    E value{};
+    if (!decode(v, value, why)) return false;
+    out = value;
+    return true;
+  }
 };
 template <class E, std::size_t N>
 ByName(const util::EnumName<E> (&)[N]) -> ByName<E, N>;
@@ -174,7 +203,7 @@ void describe(V& v, S& s) {
     v.field("hosts", s.hosts, Int{});
     v.field("parallelism", s.parallelism, Int{});
     v.field("base_rate_gbps", s.base_rate_bps, RateGbps{});
-    v.field("seed", s.seed, U64{});
+    v.field("seed", s.seed, Seed64{});
     v.field("jf_switches", s.jf_switches, Int{}, s.jf_switches > 0);
     v.field("jf_degree", s.jf_degree, Int{}, s.jf_degree > 0);
     v.field("jf_hosts_per_switch", s.jf_hosts_per_switch, Int{},
@@ -190,6 +219,12 @@ void describe(V& v, S& s) {
     v.field("rounds", s.rounds, Int{});
     v.field("start_jitter_us", s.start_jitter, TimeUs{});
     v.field("round_gap_us", s.round_gap, TimeUs{}, s.round_gap > 0);
+    v.field("concurrent", s.concurrent, Int{},
+            s.pattern == WorkloadSpec::Pattern::kClosedLoop);
+    v.field("response_bytes", s.response_bytes, U64{}, s.response_bytes > 0);
+    v.field("size_trace", s.size_trace, ByName{workload::kTraceNames},
+            s.size_trace.has_value());
+    v.field("size_cap_bytes", s.size_cap_bytes, U64{}, s.size_cap_bytes > 0);
   } else if constexpr (std::is_same_v<T, sim::SimConfig>) {
     v.field("queue_buffer_bytes", s.queue_buffer_bytes, U64{});
     v.field("ecn_threshold_bytes", s.ecn_threshold_bytes, U64{});
@@ -314,7 +349,27 @@ std::string ExperimentSpec::validate() const {
   if (workload.start_jitter < 0) return "spec.workload.start_jitter must "
                                         "be >= 0";
   if (workload.round_gap < 0) return "spec.workload.round_gap must be >= 0";
-  if (workload.round_gap == 0 && workload.rounds > 1 && deadline > 0) {
+  const bool closed_loop =
+      workload.pattern == WorkloadSpec::Pattern::kClosedLoop;
+  if (closed_loop) {
+    if (engine != EngineKind::kPacket) {
+      return "spec.workload.pattern closed_loop needs engine packet";
+    }
+    if (workload.concurrent < 1) return "spec.workload.concurrent must be "
+                                        ">= 1";
+    if (workload.start_jitter != 0 || workload.round_gap != 0) {
+      // Every worker starts at t = 0 and paces itself.
+      return "spec.workload.pattern closed_loop needs start_jitter and "
+             "round_gap 0";
+    }
+  } else if (workload.concurrent != 1 || workload.response_bytes > 0 ||
+             workload.size_trace || workload.size_cap_bytes > 0) {
+    // The pair patterns would ignore them, yet they would change the hash.
+    return "spec.workload.concurrent, response_bytes, size_trace and "
+           "size_cap_bytes need pattern closed_loop";
+  }
+  if (!closed_loop && workload.round_gap == 0 && workload.rounds > 1 &&
+      deadline > 0) {
     // Back-to-back rounds each run to completion; a deadline cannot be
     // applied meaningfully across them.
     return "spec.deadline requires workload.round_gap > 0 when rounds > 1";

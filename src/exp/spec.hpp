@@ -22,6 +22,7 @@
 #include "topo/parallel.hpp"
 #include "util/names.hpp"
 #include "util/units.hpp"
+#include "workload/traces.hpp"
 
 namespace pnet::exp {
 
@@ -54,29 +55,49 @@ inline constexpr util::EnumName<EngineKind> kEngineNames[] = {
   return util::names_of(kEngineNames);
 }
 
-/// Synthetic workload of the built-in packet/fsim engines: `rounds`
-/// pattern instances of fixed-size flows, each flow jittered uniformly in
-/// [round start, round start + start_jitter).
+/// Synthetic workload of the built-in engines. The pair patterns run
+/// `rounds` pattern instances of fixed-size flows, each flow jittered
+/// uniformly in [round start, round start + start_jitter). The closed loop
+/// (packet engine only) starts `concurrent` workers on every host at t = 0;
+/// each issues `rounds` requests back to back to random destinations,
+/// waiting for the request (and its response, when response_bytes > 0)
+/// before the next.
 struct WorkloadSpec {
   enum class Pattern : std::uint8_t {
     kPermutation,    // each host sends to exactly one other host
     kAllToAll,       // every ordered host pair
     kRackAllToAll,   // one representative host per rack pair
+    kClosedLoop,     // request/response workers (workload::ClosedLoopApp)
   };
 
   Pattern pattern = Pattern::kPermutation;
+  /// Flow size; the closed loop's request size unless size_trace is set.
   std::uint64_t flow_bytes = 1'000'000;
+  /// Pattern instances, or each closed-loop worker's requests.
   int rounds = 1;
   SimTime start_jitter = 10 * units::kMicrosecond;
   /// 0: rounds run back-to-back (each drains before the next starts).
   /// >0: round r's flows are all scheduled at r * round_gap + jitter.
   SimTime round_gap = 0;
+
+  // Closed loop only. Each is serialized only when set, so specs of the
+  // other patterns keep their canonical bytes.
+  /// Workers per host.
+  int concurrent = 1;
+  /// 0: one-way requests; otherwise each request is an RPC answered by a
+  /// response of this size, and a round completes when it lands.
+  std::uint64_t response_bytes = 0;
+  /// Draws request sizes from this published trace instead of flow_bytes.
+  std::optional<workload::Trace> size_trace;
+  /// Truncates trace sizes at this many bytes; 0 = uncapped.
+  std::uint64_t size_cap_bytes = 0;
 };
 
 inline constexpr util::EnumName<WorkloadSpec::Pattern> kPatternNames[] = {
     {WorkloadSpec::Pattern::kPermutation, "permutation"},
     {WorkloadSpec::Pattern::kAllToAll, "all_to_all"},
     {WorkloadSpec::Pattern::kRackAllToAll, "rack_all_to_all"},
+    {WorkloadSpec::Pattern::kClosedLoop, "closed_loop"},
 };
 
 [[nodiscard]] inline const char* to_string(WorkloadSpec::Pattern pattern) {

@@ -1,5 +1,6 @@
 #include "routing/route_table.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/rng.hpp"
@@ -36,15 +37,9 @@ PathRef RouteTable::intern(int plane, std::span<const LinkId> links) {
   auto& bucket = dedup_[hash];
   for (const PathRef& ref : bucket) {
     if (ref.plane != plane || ref.len != links.size()) continue;
-    const LinkId* stored = data(ref.offset);
-    bool same = true;
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (stored[i] != links[i]) {
-        same = false;
-        break;
-      }
+    if (std::equal(links.begin(), links.end(), view(ref).links().begin())) {
+      return ref;
     }
-    if (same) return ref;
   }
 
   // A path never straddles slabs: pad to the next slab when it won't fit.
@@ -58,9 +53,13 @@ PathRef RouteTable::intern(int plane, std::span<const LinkId> links) {
   ref.plane = plane;
   ref.offset = static_cast<std::uint32_t>(next_offset_);
   ref.len = static_cast<std::uint32_t>(links.size());
-  LinkId* out = chunks_[next_offset_ / kChunkLinks].get() +
-                next_offset_ % kChunkLinks;
-  for (std::size_t i = 0; i < links.size(); ++i) out[i] = links[i];
+  // An empty path takes no slab, so next_offset_ may sit one past the last
+  // one; view() never reads an empty ref's offset.
+  if (!links.empty()) {
+    std::copy(links.begin(), links.end(),
+              chunks_[next_offset_ / kChunkLinks].get() +
+                  next_offset_ % kChunkLinks);
+  }
   next_offset_ += links.size();
   links_stored_ += links.size();
   ++paths_;

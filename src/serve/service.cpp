@@ -182,6 +182,12 @@ std::string Service::over_cap(const exp::ExperimentSpec& spec) const {
            " exceeds this server's cap of " +
            std::to_string(options_.max_rounds);
   }
+  if (spec.workload.concurrent > options_.max_rounds) {
+    // Closed-loop workers multiply the flows like rounds do.
+    return "workload.concurrent " + std::to_string(spec.workload.concurrent) +
+           " exceeds this server's cap of " +
+           std::to_string(options_.max_rounds);
+  }
   return "";
 }
 

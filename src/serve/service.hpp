@@ -74,6 +74,7 @@ struct ServiceOptions {
   /// cap is rejected "invalid_spec" at admission, before any allocation.
   int max_hosts = 1024;
   int max_trials = 64;
+  /// Caps workload.rounds and the closed loop's workload.concurrent.
   int max_rounds = 256;
   /// Warm routing::RouteCache arenas kept across queries, one per distinct
   /// topology (LRU-evicted beyond this many topologies).

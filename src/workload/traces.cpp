@@ -7,17 +7,6 @@
 
 namespace pnet::workload {
 
-std::string to_string(Trace trace) {
-  switch (trace) {
-    case Trace::kWebSearch: return "websearch";
-    case Trace::kDataMining: return "datamining";
-    case Trace::kWebServer: return "webserver";
-    case Trace::kCache: return "cache";
-    case Trace::kHadoop: return "hadoop";
-  }
-  return "?";
-}
-
 FlowSizeDistribution::FlowSizeDistribution(
     std::vector<std::pair<double, double>> points)
     : points_(std::move(points)) {

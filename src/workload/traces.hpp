@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace pnet::workload {
@@ -34,7 +35,15 @@ inline constexpr Trace kAllTraces[] = {Trace::kWebSearch, Trace::kDataMining,
                                        Trace::kWebServer, Trace::kCache,
                                        Trace::kHadoop};
 
-[[nodiscard]] std::string to_string(Trace trace);
+inline constexpr util::EnumName<Trace> kTraceNames[] = {
+    {Trace::kWebSearch, "websearch"}, {Trace::kDataMining, "datamining"},
+    {Trace::kWebServer, "webserver"}, {Trace::kCache, "cache"},
+    {Trace::kHadoop, "hadoop"},
+};
+
+[[nodiscard]] inline std::string to_string(Trace trace) {
+  return util::name_of(kTraceNames, trace);
+}
 
 class FlowSizeDistribution {
  public:

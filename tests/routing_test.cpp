@@ -924,6 +924,28 @@ TEST(RouteTable, EmptyPathInternsWithoutAllocating) {
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.plane(), 3);
   EXPECT_EQ(table.arena_bytes(), 0u);
+  EXPECT_EQ(table.intern(empty), ref);  // the dedup probe reads no slab
+
+  // Fill the first slab exactly, so the next free slot is one past the
+  // last slab: an empty path interned there must still take no slab.
+  Path p;
+  for (int i = 0; i < (1 << 16) / 16; ++i) {
+    p.links.assign(16, LinkId{i});
+    table.intern(p);
+  }
+  const std::size_t one_slab = table.arena_bytes();
+  EXPECT_GT(one_slab, 0u);
+  Path boundary;
+  boundary.plane = 1;
+  const PathRef at_boundary = table.intern(boundary);
+  EXPECT_TRUE(table.view(at_boundary).empty());
+  EXPECT_EQ(table.view(at_boundary).plane(), 1);
+  EXPECT_EQ(table.intern(boundary), at_boundary);
+  EXPECT_EQ(table.arena_bytes(), one_slab);
+  // The next real path opens the second slab.
+  p.links.assign(3, LinkId{1 << 20});
+  EXPECT_EQ(table.view(table.intern(p)).hops(), 3);
+  EXPECT_EQ(table.arena_bytes(), 2 * one_slab);
 }
 
 TEST(RouteTable, ManyPathsSurviveSlabGrowth) {

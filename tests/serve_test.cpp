@@ -693,5 +693,55 @@ TEST(Service, CentralizedControllerSpecIsServed) {
   EXPECT_EQ(counter_of(service, "route_cache_reuse"), 1u);
 }
 
+// A closed-loop cell is a plain spec: served, it runs the cell the bench
+// ran. The spec is the conc=4/serial-low-bw cell of `bench_fig11
+// --hosts=16 --planes=2 --rounds=2 --json=-` verbatim, and the expected
+// numbers are that cell's metrics in the same report.
+TEST(Service, Fig11ClosedLoopCellMatchesTheBench) {
+  const std::string spec =
+      R"({"name":"conc=4/serial-low-bw","engine":"packet","seed":1,)"
+      R"("trials":1,"topo":{"kind":"jellyfish","type":"serial-low-bw",)"
+      R"("hosts":16,"parallelism":2,"base_rate_gbps":100,)"
+      R"("seed":16572613472718614229},"policy":{"policy":"shortest-plane",)"
+      R"("k":8,"ecmp_path_cap":64,"multipath_cutoff_bytes":100000000},)"
+      R"("workload":{"pattern":"closed_loop","flow_bytes":100000,)"
+      R"("rounds":2,"start_jitter_us":0,"concurrent":4,)"
+      R"("response_bytes":1500},"sim":{"queue_buffer_bytes":150000,)"
+      R"("ecn_threshold_bytes":0,"priority_acks":false,)"
+      R"("trim_to_header":false,"dctcp":false}})";
+  ServiceOptions options;  // default factory = exp::make_engine
+  options.workers = 1;
+  Service service(options);
+  const std::string body = service.handle_line(spec);
+  ASSERT_EQ(body.rfind(R"({"ok":true)", 0), 0u) << body;
+  // The canonical spec echoed back is the bench's, to the byte: nothing
+  // about the cell lives outside it.
+  EXPECT_NE(body.find(R"("spec":)" + spec + ","), std::string::npos) << body;
+
+  const JsonValue reply = parse_ok(body);
+  const JsonValue* result = reply.find("result");
+  ASSERT_NE(result, nullptr);
+  const auto number = [](const JsonValue* object, const char* key) {
+    const JsonValue* value = object->find(key);
+    return value != nullptr && value->is_number() ? value->number : -1.0;
+  };
+  EXPECT_EQ(number(result, "flows_started"), 352);
+  EXPECT_EQ(number(result, "flows_finished"), 352);
+  EXPECT_EQ(number(result, "delivered_bytes"), 35728000);
+  EXPECT_EQ(number(result, "sim_seconds"), 0.0300913928);
+  EXPECT_EQ(number(result, "events"), 283255);
+  const JsonValue* fct = result->find("fct_us");
+  ASSERT_NE(fct, nullptr);
+  EXPECT_EQ(number(fct, "count"), 352);
+  EXPECT_EQ(number(fct, "mean"), 474.13716818181814);
+  EXPECT_EQ(number(fct, "median"), 45.994);
+  EXPECT_EQ(number(fct, "p99"), 10063.805808);
+  EXPECT_EQ(number(fct, "max"), 10074.5048);
+  const JsonValue* metrics = result->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(number(metrics, "drops"), 253);
+  EXPECT_EQ(number(metrics, "timeouts"), 15);
+}
+
 }  // namespace
 }  // namespace pnet::serve
